@@ -154,7 +154,9 @@ def estimate_t60(edc: EnergyDecayCurve, sample_rate: int) -> T60Estimate:
     The line is fitted to the -5..-25 dB segment and extrapolated to 60 dB
     of decay (T20 x 3). Curves with 15-30 dB of usable range fall back to
     the -5..-15 dB segment (T10 x 6) and are flagged. Under 15 dB of
-    usable decay raises :class:`InsufficientDecayError`.
+    usable decay raises :class:`InsufficientDecayError`. The slope is
+    the closed-form least-squares one, sum((t - t_mean)(L - L_mean)) /
+    sum((t - t_mean)^2), over the segment's times t and levels L.
     """
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
@@ -174,7 +176,9 @@ def estimate_t60(edc: EnergyDecayCurve, sample_rate: int) -> T60Estimate:
             f"need {_MIN_FIT_POINTS} for a fit"
         )
     times = segment / float(sample_rate)
-    slope, _ = np.polyfit(times, values[segment], 1)
+    centered = times - times.mean()
+    levels = values[segment]
+    slope = float(centered @ (levels - levels.mean())) / float(centered @ centered)
     if slope >= 0.0:
         raise InsufficientDecayError("decay segment is not decaying")
     return T60Estimate(t60_s=float(-60.0 / slope), fallback=fallback)
@@ -268,13 +272,17 @@ def early_reflection_profile(rir: RIRecording, direct_index: int) -> EchoDensity
 
 
 def analyze_rir(rir: RIRecording) -> AcousticMetrics:
-    """All acoustic descriptors of one RIR in a single pass.
+    """All acoustic descriptors of one RIR in a single pass."""
+    return metrics_from_edc(rir, schroeder_edc(rir))
+
+
+def metrics_from_edc(rir: RIRecording, edc: EnergyDecayCurve) -> AcousticMetrics:
+    """All acoustic descriptors of one RIR, given its Schroeder decay curve.
 
     ``total_energy_db`` is the physical (pre-normalization) energy,
     i.e. it folds ``norm_gain`` back in, so it is invariant under
     amplitude normalization with honest gain bookkeeping.
     """
-    edc = schroeder_edc(rir)
     t60 = estimate_t60(edc, rir.sample_rate)
     direct_index = detect_direct_path(rir)
     drr = compute_drr(rir, direct_index)

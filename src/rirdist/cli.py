@@ -9,6 +9,7 @@ are detectable. Exit codes: 0 success, 2 usage or validation problems,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -34,12 +35,14 @@ from .estimator import (
     DEFAULT_LR_GRID,
     FEATURE_NAMES,
     FEATURE_SCHEMA_VERSION,
+    HIST_BIN_WIDTH_M,
     EstimatorModel,
     FeatureVector,
     TrainConfig,
     evaluate,
     extract_features,
     grid_search,
+    histogram_edges,
     split_dataset,
     train,
 )
@@ -61,8 +64,6 @@ from .synth import (
     sample_scenes,
     synthesize_rir,
 )
-
-HIST_BIN_WIDTH_M = 0.5
 
 
 def _derived_seed(*parts) -> int:
@@ -139,37 +140,34 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_corpus(directory: Path) -> list[tuple[str, RIRecording]]:
+def _corpus_rows(directory: Path) -> list[dict]:
+    """Metadata rows of a complete corpus; the manifest must be present and current."""
     manifest = read_json(directory / dataio.MANIFEST_NAME)
     check_schema(manifest, f"manifest in {directory}")
-    corpus = []
-    for row in read_jsonl(directory / dataio.METADATA_NAME):
-        samples, rate = read_wav(directory / f"{row['rir_id']}.wav")
-        corpus.append((row["rir_id"], RIRecording(
-            samples=samples,
-            sample_rate=rate,
-            source_pos=tuple(row["source_pos"]),
-            receiver_pos=tuple(row["receiver_pos"]),
-            room_id=row["room_id"],
-            norm_gain=row["norm_gain"],
-        )))
-    return corpus
+    return read_jsonl(directory / dataio.METADATA_NAME)
+
+
+def _read_recording(directory: Path, row: dict) -> RIRecording:
+    samples, rate = read_wav(directory / f"{row['rir_id']}.wav")
+    return RIRecording(samples=samples, sample_rate=rate,
+                       source_pos=tuple(row["source_pos"]),
+                       receiver_pos=tuple(row["receiver_pos"]),
+                       room_id=row["room_id"], norm_gain=row["norm_gain"])
+
+
+def _load_corpus(directory: Path) -> list[tuple[str, RIRecording]]:
+    return [(row["rir_id"], _read_recording(directory, row))
+            for row in _corpus_rows(directory)]
 
 
 def cmd_analyze(args) -> int:
     directory = Path(args.in_dir)
-    manifest = read_json(directory / dataio.MANIFEST_NAME)
-    check_schema(manifest, f"manifest in {directory}")
     rows = []
     n_failed = 0
-    for meta in read_jsonl(directory / dataio.METADATA_NAME):
+    for meta in _corpus_rows(directory):
         rir_id = meta["rir_id"]
         try:
-            samples, rate = read_wav(directory / f"{rir_id}.wav")
-            rir = RIRecording(samples=samples, sample_rate=rate,
-                              source_pos=tuple(meta["source_pos"]),
-                              receiver_pos=tuple(meta["receiver_pos"]),
-                              room_id=meta["room_id"], norm_gain=meta["norm_gain"])
+            rir = _read_recording(directory, meta)
             metrics = analyze_rir(rir)
         except Exception as exc:
             rows.append({"rir_id": rir_id, "error": f"{type(exc).__name__}: {exc}"})
@@ -248,23 +246,14 @@ def cmd_filter(args) -> int:
                                          - decision.distance_m))
         write_jsonl(out / dataio.DECISIONS_NAME, rows)
 
+        hist_counts = []
         if accepted_distances:
-            n_bins = max(1, int(np.ceil(max(accepted_distances) / HIST_BIN_WIDTH_M)))
             hist, _ = np.histogram(accepted_distances,
-                                   bins=np.arange(n_bins + 1) * HIST_BIN_WIDTH_M)
+                                   bins=histogram_edges(max(accepted_distances)))
             hist_counts = [int(c) for c in hist]
-        else:
-            hist_counts = []
         write_json(out / dataio.SUMMARY_NAME, {
             "schema_version": dataio.SCHEMA_VERSION,
-            "criteria": {
-                "t60_rel_tolerance": criteria.t60_rel_tolerance,
-                "t60_hard_cutoff_s": criteria.t60_hard_cutoff_s,
-                "min_distance_m": criteria.min_distance_m,
-                "max_distance_m": criteria.max_distance_m,
-                "edc_max_rms_dev_db": criteria.edc_max_rms_dev_db,
-                "echo_max_rel_dev": criteria.echo_max_rel_dev,
-            },
+            "criteria": dataclasses.asdict(criteria),
             "n_input": len(corpus),
             "n_accepted": len(result.accepted),
             "n_rejected": len(result.rejected),
@@ -297,25 +286,25 @@ def _feature_row(rir_id: str, fv: FeatureVector, distance: float) -> dict:
 
 def cmd_train(args) -> int:
     directory = Path(args.in_dir)
-    corpus = dict(_load_corpus(directory))
     decisions_path = Path(args.decisions) if args.decisions else directory / dataio.DECISIONS_NAME
     decisions = read_jsonl(decisions_path)
+    metadata = {row["rir_id"]: row for row in _corpus_rows(directory)}
 
     room_filter = None
     if args.rooms:
         room_filter = {room.room_id for room in _parse_rooms(args.rooms)}
 
     samples = []
-    for row in decisions:
-        if not row["accepted"]:
+    for decision in decisions:
+        if not decision["accepted"]:
             continue
-        rir = corpus.get(row["rir_id"])
-        if rir is None:
-            raise MissingDataError(f"accepted RIR {row['rir_id']} is not in {directory}")
-        if room_filter is not None and rir.room_id not in room_filter:
+        row = metadata.get(decision["rir_id"])
+        if row is None:
+            raise MissingDataError(f"accepted RIR {decision['rir_id']} is not in {directory}")
+        if room_filter is not None and row["room_id"] not in room_filter:
             continue
-        distance = rir.metadata_distance()
-        samples.append((row["rir_id"], extract_features(rir), float(distance)))
+        rir = _read_recording(directory, row)   # only accepted WAVs are decoded
+        samples.append((row["rir_id"], extract_features(rir), float(rir.metadata_distance())))
     if not samples:
         raise ValueError("no accepted RIRs to train on")
 

@@ -286,6 +286,14 @@ def _validation_mae(model: EstimatorModel,
     return float(np.mean(np.abs(preds - truths)))
 
 
+def histogram_edges(top_m: float) -> np.ndarray:
+    """Edges of the 0.5 m distance bins, from 0 up to the first edge >= ``top_m``."""
+    n_bins = max(1, math.ceil(top_m / HIST_BIN_WIDTH_M))
+    if n_bins > _MAX_HIST_BINS:
+        raise ValueError(f"distances up to {top_m:.3g} m are too wide to histogram")
+    return np.arange(n_bins + 1) * HIST_BIN_WIDTH_M
+
+
 def evaluate(model: EstimatorModel,
              testset: Sequence[tuple[FeatureVector, float]]) -> EvalReport:
     """MAE, Pearson correlation, per-range MAE, and 0.5 m histograms."""
@@ -308,11 +316,7 @@ def evaluate(model: EstimatorModel,
         bucket_mae = float(np.mean(np.abs(residuals[mask]))) if count else None
         per_range.append(RangeMae(lo_m=lo, hi_m=hi, mae_m=bucket_mae, n=count))
 
-    top = float(max(truths.max(), preds.max()))
-    n_bins = max(1, math.ceil(top / HIST_BIN_WIDTH_M))
-    if n_bins > _MAX_HIST_BINS:
-        raise ValueError(f"prediction range up to {top:.3g} m is too wide to histogram")
-    edges = np.arange(n_bins + 1) * HIST_BIN_WIDTH_M
+    edges = histogram_edges(float(max(truths.max(), preds.max())))
     truth_hist, _ = np.histogram(truths, bins=edges)
     pred_hist, _ = np.histogram(preds, bins=edges)
 

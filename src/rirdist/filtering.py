@@ -20,10 +20,7 @@ from .acoustics import (
     InsufficientDecayError,
     RIRecording,
     ZeroEnergyError,
-    analyze_rir,
-    detect_direct_path,
-    early_reflection_profile,
-    estimate_t60,
+    metrics_from_edc,
     schroeder_edc,
 )
 
@@ -108,6 +105,12 @@ def _edc_on_grid(values_db: np.ndarray, sample_rate: int) -> np.ndarray:
     return np.interp(grid_t, t, values_db)
 
 
+def _descriptors(rir: RIRecording) -> tuple[AcousticMetrics, np.ndarray]:
+    """Metrics and 10 ms decay grid of one RIR, from a single decay curve."""
+    edc = schroeder_edc(rir)
+    return metrics_from_edc(rir, edc), _edc_on_grid(edc.values_db, rir.sample_rate)
+
+
 def build_reference_profile(enrollment: Sequence[RIRecording]) -> ReferenceProfile:
     """Median T60 / decay curve / echo profile over an enrollment set.
 
@@ -119,19 +122,13 @@ def build_reference_profile(enrollment: Sequence[RIRecording]) -> ReferenceProfi
     if len(room_ids) != 1:
         raise ValueError(f"enrollment mixes room ids {sorted(map(str, room_ids))}")
 
-    t60s, grids, echoes = [], [], []
-    for rir in enrollment:
-        edc = schroeder_edc(rir)
-        t60s.append(estimate_t60(edc, rir.sample_rate).t60_s)
-        grids.append(_edc_on_grid(edc.values_db, rir.sample_rate))
-        direct = detect_direct_path(rir)
-        echoes.append(early_reflection_profile(rir, direct).counts)
-
+    metrics, grids = zip(*(_descriptors(rir) for rir in enrollment))
     return ReferenceProfile(
         room_id=enrollment[0].room_id,
-        median_t60_s=float(np.median(t60s)),
+        median_t60_s=float(np.median([m.t60_s for m in metrics])),
         median_edc_db=np.median(np.stack(grids), axis=0),
-        echo_density_ref=np.median(np.asarray(echoes, dtype=np.float64), axis=0),
+        echo_density_ref=np.median(np.asarray([m.echo_density for m in metrics],
+                                              dtype=np.float64), axis=0),
         n_enrollment=len(enrollment),
     )
 
@@ -147,8 +144,7 @@ def apply_quality_filter(rir: RIRecording, profile: ReferenceProfile,
     """
     distance = rir.metadata_distance()
     try:
-        metrics = analyze_rir(rir)
-        edc = schroeder_edc(rir)
+        metrics, grid = _descriptors(rir)
     except (ZeroEnergyError, InsufficientDecayError) as exc:
         return FilterDecision(
             accepted=False, reasons=frozenset(), metrics=None,
@@ -172,7 +168,6 @@ def apply_quality_filter(rir: RIRecording, profile: ReferenceProfile,
     if distance > criteria.max_distance_m:
         reasons.add(FilterReason.DISTANCE_TOO_FAR)
 
-    grid = _edc_on_grid(edc.values_db, rir.sample_rate)
     n_compare = max(1, int(np.count_nonzero(
         np.arange(EDC_GRID_POINTS) * EDC_GRID_STEP_S <= median)))
     deviation = grid[:n_compare] - profile.median_edc_db[:n_compare]

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rirdist.acoustics import (
     DB_FLOOR,
@@ -7,6 +10,7 @@ from rirdist.acoustics import (
     DRR_CEILING_FLAG,
     ECHO_TRUNCATED_FLAG,
     T60_FALLBACK_FLAG,
+    EnergyDecayCurve,
     InsufficientDecayError,
     RIRecording,
     ZeroEnergyError,
@@ -18,6 +22,7 @@ from rirdist.acoustics import (
     geometric_distance,
     schroeder_edc,
 )
+from rirdist.synth import normalize_rir
 
 from helpers import (
     SAMPLE_RATE,
@@ -368,3 +373,68 @@ def test_analyze_total_energy_tracks_norm_gain():
     louder = RIRecording(samples=rir.samples * 2.0)
     assert analyze_rir(louder).total_energy_db == pytest.approx(
         raw.total_energy_db + 20.0 * np.log10(2.0), abs=1e-9)
+
+
+# ------------------------------------------------------- property invariants
+
+_PROPERTY = settings(max_examples=50, deadline=None)
+_TAUS = st.floats(0.03, 0.2)                 # T60 of about 0.2 to 1.4 s
+_SEEDS = st.integers(0, 2**32 - 1)
+_GAINS = st.floats(1e-3, 1e3)
+
+
+@_PROPERTY
+@given(samples=hnp.arrays(np.float64, st.integers(1, 256),
+                          elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+def test_edc_invariants_on_arbitrary_signals(samples):
+    assume(float(samples @ samples) > 0.0)
+    values = schroeder_edc(RIRecording(samples=samples)).values_db
+    assert values[0] == 0.0
+    assert np.all(np.diff(values) <= 0.0)
+    assert np.all(values >= DB_FLOOR)
+
+
+@_PROPERTY
+@given(tau=_TAUS, seed=_SEEDS, gain=_GAINS)
+def test_descriptors_invariant_under_positive_scaling(tau, seed, gain):
+    rir = exp_envelope_rir(tau, seed=seed)
+    a = analyze_rir(rir)
+    b = analyze_rir(RIRecording(samples=gain * rir.samples))
+    assert b.t60_s == pytest.approx(a.t60_s, rel=1e-9)
+    assert b.drr_db == pytest.approx(a.drr_db, abs=1e-9)
+    assert b.direct_index == a.direct_index
+    assert b.echo_density == a.echo_density
+
+
+@_PROPERTY
+@given(tau=_TAUS, seed=_SEEDS, gain=_GAINS)
+def test_total_energy_invariant_under_normalization(tau, seed, gain):
+    rir = RIRecording(samples=gain * exp_envelope_rir(tau, seed=seed).samples)
+    assert analyze_rir(normalize_rir(rir)).total_energy_db == pytest.approx(
+        analyze_rir(rir).total_energy_db, abs=1e-9)
+
+
+def _polyfit_t60(values, sample_rate, span):
+    """Reference T60: np.polyfit over the same segment estimate_t60 selects."""
+    segment = np.nonzero((values <= span[0]) & (values >= span[1]))[0]
+    slope, _ = np.polyfit(segment / float(sample_rate), values[segment], 1)
+    return -60.0 / slope, segment.size
+
+
+@pytest.mark.parametrize("range_lo_db, range_hi_db, span, fallback", [
+    (31.0, 110.0, (-5.0, -25.0), False),   # T20 path
+    (16.0, 29.0, (-5.0, -15.0), True),     # T10 fallback path
+])
+@_PROPERTY
+@given(steps=hnp.arrays(np.float64, st.integers(512, 4000), elements=st.floats(0.1, 1.0)),
+       depth=st.floats(0.0, 1.0), sample_rate=st.sampled_from([8000, 16000, 32000, 48000]))
+def test_t60_closed_form_matches_polyfit(range_lo_db, range_hi_db, span, fallback,
+                                         steps, depth, sample_rate):
+    # An irregular, strictly decaying curve from 0 dB down to -range_db.
+    range_db = range_lo_db + depth * (range_hi_db - range_lo_db)
+    values = -range_db * np.concatenate([[0.0], np.cumsum(steps)]) / steps.sum()
+    reference, n_points = _polyfit_t60(values, sample_rate, span)
+    assume(n_points >= 8)
+    est = estimate_t60(EnergyDecayCurve(values_db=values, total_energy=1.0), sample_rate)
+    assert est.fallback == fallback
+    assert est.t60_s == pytest.approx(reference, rel=1e-12)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rirdist import dataio
+from rirdist import acoustics, cli, dataio, filtering
 from rirdist.cli import main
 
 from helpers import GOLDEN_EXPECTED, GOLDEN_ROOM_ID, golden_corpus, golden_enrollment
@@ -283,6 +283,42 @@ def test_pipeline_eval_and_report(pipeline_dirs, tmp_path):
     hist_lines = (report_dir / "histogram.csv").read_text().splitlines()
     assert len(hist_lines) == len(payload["histogram"]["truth_counts"]) + 1
     assert (report_dir / "scatter.svg").read_text().startswith("<svg")
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Record every call of ``name`` made through its binding in ``modules``."""
+    original = getattr(modules[0], name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_filter_and_train_do_one_descriptor_pass_per_rir(pipeline_dirs, tmp_path,
+                                                          monkeypatch):
+    corpus, enroll, _ = pipeline_dirs
+    n_corpus = len(dataio.read_jsonl(corpus / dataio.METADATA_NAME))
+    n_enroll = len(dataio.read_jsonl(enroll / dataio.METADATA_NAME))
+    edc_calls = _count_calls(monkeypatch, "schroeder_edc", acoustics, filtering)
+    screened = tmp_path / "screened"
+    assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll),
+                 "--out", str(screened)]) == 0
+    assert len(edc_calls) == n_corpus + n_enroll
+
+    decisions = screened / dataio.DECISIONS_NAME
+    accepted = sum(row["accepted"] for row in dataio.read_jsonl(decisions))
+    assert 0 < accepted < n_corpus
+    wav_reads = _count_calls(monkeypatch, "read_wav", dataio, cli)
+    assert main(["train", "--in", str(corpus), "--decisions", str(decisions),
+                 "--out", str(tmp_path / "model"), "--seed", "3",
+                 "--lr-grid", "1e-4", "--epoch-grid", "5"]) == 0
+    assert len(wav_reads) == accepted
+    assert len(edc_calls) == n_corpus + n_enroll + accepted
 
 
 def test_train_without_decisions_is_missing_data(tmp_path):
