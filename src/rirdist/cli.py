@@ -38,7 +38,6 @@ from .estimator import (
     HIST_BIN_WIDTH_M,
     EstimatorModel,
     FeatureVector,
-    TrainConfig,
     evaluate,
     extract_features,
     grid_search,
@@ -155,11 +154,6 @@ def _read_recording(directory: Path, row: dict) -> RIRecording:
                        room_id=row["room_id"], norm_gain=row["norm_gain"])
 
 
-def _load_corpus(directory: Path) -> list[tuple[str, RIRecording]]:
-    return [(row["rir_id"], _read_recording(directory, row))
-            for row in _corpus_rows(directory)]
-
-
 def cmd_analyze(args) -> int:
     directory = Path(args.in_dir)
     rows = []
@@ -187,7 +181,8 @@ def cmd_analyze(args) -> int:
         })
     out_path = Path(args.out) if args.out else directory / dataio.METRICS_NAME
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_jsonl(out_path, rows)
+    with output_lock(out_path.parent):
+        write_jsonl(out_path, rows)
     print(f"analyzed {len(rows)} RIRs ({n_failed} failed) -> {out_path}")
     return 1 if rows and n_failed == len(rows) else 0
 
@@ -201,35 +196,34 @@ def cmd_filter(args) -> int:
         edc_max_rms_dev_db=args.edc_dev,
         echo_max_rel_dev=args.echo_dev,
     )
-    corpus = _load_corpus(Path(args.in_dir))
-    enrollment = _load_corpus(Path(args.enrollment))
-
-    by_room: dict = {}
-    for _, rir in enrollment:
-        by_room.setdefault(rir.room_id, []).append(rir)
-    needed = {rir.room_id for _, rir in corpus}
+    corpus_dir, enroll_dir = Path(args.in_dir), Path(args.enrollment)
+    corpus = _corpus_rows(corpus_dir)
+    enrollment: dict = {}
+    for row in _corpus_rows(enroll_dir):
+        enrollment.setdefault(row["room_id"], []).append(row)
     profiles = {}
-    for room_id in needed:
-        group = by_room.get(room_id, [])
+    for room_id in dict.fromkeys(row["room_id"] for row in corpus):
+        group = enrollment.get(room_id, [])
         if len(group) < 2:
             raise MissingDataError(
                 f"enrollment provides {len(group)} RIR(s) for room {room_id!r}, need >= 2"
             )
-        profiles[room_id] = build_reference_profile(group)
+        profiles[room_id] = build_reference_profile(
+            [_read_recording(enroll_dir, row) for row in group])
 
-    result = filter_batch([rir for _, rir in corpus], profiles, criteria)
-    decision_by_rir = {id(rir): dec for rir, dec in result.decisions}
+    # one RIR decoded at a time; only its decision is kept
+    result = filter_batch((_read_recording(corpus_dir, row) for row in corpus),
+                          profiles, criteria)
 
-    out = Path(args.out) if args.out else Path(args.in_dir)
+    out = Path(args.out) if args.out else corpus_dir
     out.mkdir(parents=True, exist_ok=True)
     with output_lock(out):
         rows = []
         accepted_distances = []
         discrepancies = []
-        for rir_id, rir in corpus:
-            decision = decision_by_rir[id(rir)]
+        for meta, decision in zip(corpus, result.decisions):
             row = {
-                "rir_id": rir_id,
+                "rir_id": meta["rir_id"],
                 "accepted": decision.accepted,
                 "reasons": decision.reason_names(),
                 "t60_s": None if decision.metrics is None else float(decision.metrics.t60_s),
@@ -255,8 +249,8 @@ def cmd_filter(args) -> int:
             "schema_version": dataio.SCHEMA_VERSION,
             "criteria": dataclasses.asdict(criteria),
             "n_input": len(corpus),
-            "n_accepted": len(result.accepted),
-            "n_rejected": len(result.rejected),
+            "n_accepted": len(accepted_distances),
+            "n_rejected": len(corpus) - len(accepted_distances),
             "yield": result.yield_fraction,
             "reason_histogram": {reason.name: result.reason_counts[reason]
                                  for reason in FilterReason},
@@ -269,7 +263,7 @@ def cmd_filter(args) -> int:
                 "max": float(np.max(discrepancies)) if discrepancies else None,
             },
         })
-    print(f"filter kept {len(result.accepted)}/{len(corpus)} "
+    print(f"filter kept {len(accepted_distances)}/{len(corpus)} "
           f"(yield {result.yield_fraction}) -> {out}")
     return 0
 
@@ -320,10 +314,8 @@ def cmd_train(args) -> int:
     lr_grid = [float(tok) for tok in args.lr_grid.split(",")]
     epoch_grid = [int(tok) for tok in args.epoch_grid.split(",")]
     enforce = not args.allow_out_of_range
-    best, table = grid_search(gs_train, gs_val, lr_grid, epoch_grid,
-                              seed=args.seed, enforce_ranges=enforce)
-    model = train(pairs, TrainConfig(best.learning_rate, best.epochs, seed=args.seed),
-                  enforce_ranges=enforce)
+    best, table = grid_search(gs_train, gs_val, lr_grid, epoch_grid, enforce_ranges=enforce)
+    model = train(pairs, best, enforce_ranges=enforce)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -410,10 +402,10 @@ def _render_report_text(payload: dict) -> str:
         mae = "-" if bucket["mae_m"] is None else f"{bucket['mae_m']:.4f}"
         lines.append(f"{label:>14}  {bucket['n']:>6}  {mae:>10}")
     lines.append("")
-    lines.append("distance histogram (0.5 m bins)")
-    lines.append(f"{'bin':>14}  {'truth':>6}  {'predicted':>10}")
     hist = payload["histogram"]
     width = hist["bin_width_m"]
+    lines.append(f"distance histogram ({width:g} m bins)")
+    lines.append(f"{'bin':>14}  {'truth':>6}  {'predicted':>10}")
     for i, (t, p) in enumerate(zip(hist["truth_counts"], hist["predicted_counts"])):
         label = f"[{i * width:g}, {(i + 1) * width:g})"
         lines.append(f"{label:>14}  {t:>6}  {p:>10}")

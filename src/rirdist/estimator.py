@@ -59,7 +59,6 @@ class FeatureVector:
 class TrainConfig:
     learning_rate: float
     epochs: int
-    seed: int = 0   # reserved for non-zero initialization modes; zeros today
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class EstimatorModel:
             "train_config": {
                 "learning_rate": float(self.train_config.learning_rate),
                 "epochs": int(self.train_config.epochs),
-                "seed": int(self.train_config.seed),
             },
             "final_loss": None if self.final_loss is None else float(self.final_loss),
         }
@@ -99,7 +97,7 @@ class EstimatorModel:
             weights=np.asarray(data["weights"], dtype=np.float64),
             feature_means=np.asarray(data["feature_means"], dtype=np.float64),
             feature_stds=np.asarray(data["feature_stds"], dtype=np.float64),
-            train_config=TrainConfig(cfg["learning_rate"], cfg["epochs"], cfg.get("seed", 0)),
+            train_config=TrainConfig(cfg["learning_rate"], cfg["epochs"]),
             final_loss=data.get("final_loss"),
         )
 
@@ -346,8 +344,7 @@ def grid_search(train_set: Sequence[tuple[FeatureVector, float]],
                 val_set: Sequence[tuple[FeatureVector, float]],
                 lr_grid: Sequence[float] = DEFAULT_LR_GRID,
                 epoch_grid: Sequence[int] = DEFAULT_EPOCH_GRID,
-                *, seed: int = 0,
-                enforce_ranges: bool = True) -> tuple[TrainConfig, list[GridCell]]:
+                *, enforce_ranges: bool = True) -> tuple[TrainConfig, list[GridCell]]:
     """Exhaustive sweep over the (learning rate, epochs) grid.
 
     Returns the winning config plus the full audit table. A cell that
@@ -361,7 +358,7 @@ def grid_search(train_set: Sequence[tuple[FeatureVector, float]],
     best: tuple | None = None
     for lr in lr_grid:
         for epochs in epoch_grid:
-            config = TrainConfig(learning_rate=float(lr), epochs=int(epochs), seed=seed)
+            config = TrainConfig(learning_rate=float(lr), epochs=int(epochs))
             try:
                 model = train(train_set, config, enforce_ranges=enforce_ranges)
                 val_mae = _validation_mae(model, val_set)

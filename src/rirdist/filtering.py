@@ -88,14 +88,9 @@ class FilterDecision:
 
 @dataclass
 class FilterBatchResult:
-    accepted: list[tuple[RIRecording, FilterDecision]] = field(default_factory=list)
-    rejected: list[tuple[RIRecording, FilterDecision]] = field(default_factory=list)
-    yield_fraction: float | None = None      # None for an empty batch
+    decisions: list[FilterDecision] = field(default_factory=list)   # in input order
     reason_counts: dict[FilterReason, int] = field(default_factory=dict)
-
-    @property
-    def decisions(self) -> list[tuple[RIRecording, FilterDecision]]:
-        return self.accepted + self.rejected
+    yield_fraction: float | None = None      # None for an empty batch
 
 
 def _edc_on_grid(values_db: np.ndarray, sample_rate: int) -> np.ndarray:
@@ -192,23 +187,22 @@ def apply_quality_filter(rir: RIRecording, profile: ReferenceProfile,
 def filter_batch(rirs: Iterable[RIRecording],
                  profiles: dict,
                  criteria: FilterCriteria = FilterCriteria()) -> FilterBatchResult:
-    """Screen a batch of RIRs, each against the profile of its room id.
+    """Screen RIRs one at a time, each against the profile of its room id.
 
-    Raises :class:`MissingProfileError` naming the first room id without
-    a profile. An empty batch reports ``yield_fraction = None``.
+    ``rirs`` is iterated once, lazily, and only the decisions are kept,
+    in input order. Raises :class:`MissingProfileError` naming the first
+    room id without a profile. An empty batch reports
+    ``yield_fraction = None``.
     """
-    rirs = list(rirs)
+    result = FilterBatchResult(reason_counts={reason: 0 for reason in FilterReason})
     for rir in rirs:
         if rir.room_id not in profiles:
             raise MissingProfileError(f"no reference profile for room {rir.room_id!r}")
-
-    result = FilterBatchResult(reason_counts={reason: 0 for reason in FilterReason})
-    for rir in rirs:
         decision = apply_quality_filter(rir, profiles[rir.room_id], criteria)
-        bucket = result.accepted if decision.accepted else result.rejected
-        bucket.append((rir, decision))
+        result.decisions.append(decision)
         for reason in decision.reasons:
             result.reason_counts[reason] += 1
-    if rirs:
-        result.yield_fraction = len(result.accepted) / len(rirs)
+    if result.decisions:
+        n_accepted = sum(decision.accepted for decision in result.decisions)
+        result.yield_fraction = n_accepted / len(result.decisions)
     return result

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +174,16 @@ def test_analyze_missing_manifest_is_missing_data(tmp_path):
     assert main(["analyze", "--in", str(empty)]) == 3
 
 
+def test_analyze_respects_output_lock(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--out", str(corpus), "--rooms", "1",
+                 "--n", "1", "--seed", "2"]) == 0
+    (corpus / dataio.LOCK_FILENAME).touch()
+    assert main(["analyze", "--in", str(corpus)]) == 2
+    assert not (corpus / dataio.METRICS_NAME).exists()
+    assert (corpus / dataio.LOCK_FILENAME).exists()
+
+
 # -------------------------------------------------------------------- filter
 
 def test_filter_golden_corpus_end_to_end(golden_dirs):
@@ -224,11 +236,38 @@ def test_filter_thin_enrollment_is_missing_data(golden_dirs, tmp_path):
 
 def test_filter_missing_enrollment_room_is_missing_data(golden_dirs, tmp_path):
     corpus_dir, _ = golden_dirs
-    import dataclasses
     other = tmp_path / "other_room"
     rirs = [dataclasses.replace(rir, room_id="elsewhere") for rir in golden_enrollment()]
     _write_corpus(other, [(f"e{i}", rir) for i, rir in enumerate(rirs)])
     assert main(["filter", "--in", str(corpus_dir), "--enrollment", str(other)]) == 3
+
+
+def test_filter_decodes_only_enrollment_rooms_the_corpus_uses(golden_dirs, tmp_path):
+    corpus_dir, _ = golden_dirs
+    enroll = tmp_path / "enroll_extra"
+    golden = golden_enrollment()
+    unused = [dataclasses.replace(rir, room_id="unused") for rir in golden]
+    _write_corpus(enroll, [(f"g{i}", rir) for i, rir in enumerate(golden)]
+                  + [(f"u{i}", rir) for i, rir in enumerate(unused)])
+    for i in range(len(unused)):
+        (enroll / f"u{i}.wav").unlink()
+    assert main(["filter", "--in", str(corpus_dir), "--enrollment", str(enroll)]) == 0
+    decisions = dataio.read_jsonl(corpus_dir / dataio.DECISIONS_NAME)
+    assert {row["rir_id"]: row["reasons"] for row in decisions} == GOLDEN_EXPECTED
+
+
+def test_filter_streams_the_corpus(pipeline_dirs, tmp_path):
+    corpus, enroll, _ = pipeline_dirs
+    manifest = dataio.read_json(corpus / dataio.MANIFEST_NAME)
+    decoded_corpus_bytes = manifest["count"] * manifest["duration_samples"] * 8
+    tracemalloc.start()
+    try:
+        assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll),
+                     "--out", str(tmp_path / "screened")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < decoded_corpus_bytes / 2
 
 
 # ------------------------------------------------------------ train and eval
@@ -283,6 +322,15 @@ def test_pipeline_eval_and_report(pipeline_dirs, tmp_path):
     hist_lines = (report_dir / "histogram.csv").read_text().splitlines()
     assert len(hist_lines) == len(payload["histogram"]["truth_counts"]) + 1
     assert (report_dir / "scatter.svg").read_text().startswith("<svg")
+
+
+def test_report_text_names_the_payload_bin_width():
+    payload = {"n_samples": 1, "mae_m": 0.0, "pearson_r": None, "per_range": [],
+               "histogram": {"bin_width_m": 0.25, "truth_counts": [1],
+                             "predicted_counts": [0]}}
+    text = cli._render_report_text(payload)
+    assert "distance histogram (0.25 m bins)" in text
+    assert "[0, 0.25)" in text
 
 
 def _count_calls(monkeypatch, name, *modules):

@@ -242,7 +242,7 @@ def test_predict_dimension_mismatch():
 # -------------------------------------------------------------- serialization
 
 def test_model_json_round_trip():
-    model = train(random_dataset(20, seed=4, noise=0.1), TrainConfig(1e-4, 10, seed=9))
+    model = train(random_dataset(20, seed=4, noise=0.1), TrainConfig(1e-4, 10))
     data = model.to_json_dict()
     assert data["feature_schema_version"] == FEATURE_SCHEMA_VERSION
     assert data["feature_names"] == list(FEATURE_NAMES)
@@ -252,6 +252,16 @@ def test_model_json_round_trip():
     np.testing.assert_array_equal(restored.feature_stds, model.feature_stds)
     assert restored.train_config == model.train_config
     assert restored.final_loss == pytest.approx(model.final_loss)
+
+
+def test_model_json_without_and_with_legacy_seed():
+    model = train(random_dataset(20, seed=4, noise=0.1), TrainConfig(1e-4, 10))
+    data = model.to_json_dict()
+    assert data["train_config"] == {"learning_rate": 1e-4, "epochs": 10}
+    legacy = dict(data, train_config=dict(data["train_config"], seed=9))
+    restored = EstimatorModel.from_json_dict(legacy)
+    assert restored.train_config == TrainConfig(1e-4, 10)
+    np.testing.assert_array_equal(restored.weights, model.weights)
 
 
 def test_model_json_rejects_foreign_schema():
@@ -325,7 +335,7 @@ def test_evaluate_rejects_bad_input():
 def test_grid_search_singleton():
     data = random_dataset(30, seed=10, noise=0.2)
     best, cells = grid_search(data[:24], data[24:], lr_grid=(1e-4,), epoch_grid=(10,))
-    assert best == TrainConfig(1e-4, 10, seed=0)
+    assert best == TrainConfig(1e-4, 10)
     assert len(cells) == 1 and cells[0].error is None
 
 
