@@ -9,6 +9,7 @@ the storage dtype of the samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ DRR_WINDOW_POST_S = 0.0025   # ... and closes 2.5 ms after it (closed interval)
 ECHO_WINDOW_S = 0.005        # early reflection profile: ten 5 ms windows
 ECHO_N_WINDOWS = 10
 ECHO_PEAK_FRACTION = 0.1     # peaks must exceed this fraction of the direct sample
+EARLY_LATE_SPLIT_S = 0.050   # energy before/after 50 ms past the direct path
 
 T60_FALLBACK_FLAG = "t60_fallback"
 DRR_CEILING_FLAG = "drr_ceiling"
@@ -84,8 +86,12 @@ class RIRecording:
         """Source-receiver distance implied by the stored positions."""
         if self.source_pos is None or self.receiver_pos is None:
             return None
-        delta = np.asarray(self.source_pos) - np.asarray(self.receiver_pos)
-        return float(np.linalg.norm(delta))
+        return source_receiver_distance(self.source_pos, self.receiver_pos)
+
+
+def source_receiver_distance(source_pos, receiver_pos) -> float:
+    """Euclidean distance between two cartesian positions, in meters."""
+    return float(np.linalg.norm(np.asarray(source_pos) - np.asarray(receiver_pos)))
 
 
 @dataclass(frozen=True)
@@ -126,9 +132,11 @@ class AcousticMetrics:
     t60_s: float
     drr_db: float
     direct_index: int
+    direct_delay_ms: float
     geometric_distance_m: float
     echo_density: tuple[int, ...]
     total_energy_db: float
+    early_late_ratio_db: float      # first 50 ms from the direct path vs the rest, in dB
     flags: frozenset[str] = frozenset()
 
 
@@ -291,6 +299,13 @@ def metrics_from_edc(rir: RIRecording, edc: EnergyDecayCurve) -> AcousticMetrics
     physical_energy = rir.norm_gain ** 2 * edc.total_energy
     total_energy_db = max(10.0 * np.log10(physical_energy), DB_FLOOR)
 
+    samples = rir.samples
+    split = direct_index + round(EARLY_LATE_SPLIT_S * rir.sample_rate)
+    early, late = samples[direct_index:split], samples[split:]
+    floor = float(samples @ samples) * 1e-12
+    early_late_ratio_db = 10.0 * (math.log10(max(float(early @ early), floor)) -
+                                  math.log10(max(float(late @ late), floor)))
+
     flags = set()
     if t60.fallback:
         flags.add(T60_FALLBACK_FLAG)
@@ -303,8 +318,10 @@ def metrics_from_edc(rir: RIRecording, edc: EnergyDecayCurve) -> AcousticMetrics
         t60_s=t60.t60_s,
         drr_db=drr.drr_db,
         direct_index=direct_index,
+        direct_delay_ms=direct_index / rir.sample_rate * 1000.0,
         geometric_distance_m=geometric_distance(direct_index, rir.sample_rate),
         echo_density=echo.counts,
         total_energy_db=float(total_energy_db),
+        early_late_ratio_db=early_late_ratio_db,
         flags=frozenset(flags),
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .acoustics import RIRecording, analyze_rir
+from .acoustics import RIRecording, analyze_rir, source_receiver_distance
 from .dataio import (
     MissingDataError,
     OutputLockedError,
@@ -232,6 +232,8 @@ def cmd_filter(args) -> int:
             }
             if decision.error is not None:
                 row["error"] = decision.error
+            if decision.metrics is not None:
+                _with_features(row, extract_features(decision.metrics))
             rows.append(row)
             if decision.accepted:
                 accepted_distances.append(decision.distance_m)
@@ -268,14 +270,28 @@ def cmd_filter(args) -> int:
     return 0
 
 
-def _feature_row(rir_id: str, fv: FeatureVector, distance: float) -> dict:
-    return {
-        "rir_id": rir_id,
-        "distance_m": float(distance),
-        "feature_schema_version": FEATURE_SCHEMA_VERSION,
-        "features": {name: float(value)
-                     for name, value in zip(FEATURE_NAMES, fv.as_array())},
-    }
+def _with_features(row: dict, fv: FeatureVector) -> dict:
+    """``row`` followed by the feature keys :func:`_parse_feature_row` reads back."""
+    row["feature_schema_version"] = FEATURE_SCHEMA_VERSION
+    row["features"] = {name: float(value) for name, value in zip(FEATURE_NAMES, fv.as_array())}
+    return row
+
+
+def _parse_feature_row(row: dict) -> tuple[str, FeatureVector, float]:
+    """(rir_id, features, distance) of a decisions or holdout row."""
+    if row.get("feature_schema_version") != FEATURE_SCHEMA_VERSION:
+        raise SchemaMismatchError(
+            f"feature row {row.get('rir_id')!r} carries schema "
+            f"{row.get('feature_schema_version')!r}, expected {FEATURE_SCHEMA_VERSION}; "
+            f"re-run the stage that wrote it"
+        )
+    try:
+        values = row["features"]
+        fv = FeatureVector(**{name: values[name] for name in FEATURE_NAMES})
+        return row["rir_id"], fv, float(row["distance_m"])
+    except (KeyError, TypeError) as exc:
+        raise SchemaMismatchError(
+            f"feature row {row.get('rir_id')!r} is malformed: {exc}") from exc
 
 
 def cmd_train(args) -> int:
@@ -295,10 +311,14 @@ def cmd_train(args) -> int:
         row = metadata.get(decision["rir_id"])
         if row is None:
             raise MissingDataError(f"accepted RIR {decision['rir_id']} is not in {directory}")
-        if room_filter is not None and row["room_id"] not in room_filter:
-            continue
-        rir = _read_recording(directory, row)   # only accepted WAVs are decoded
-        samples.append((row["rir_id"], extract_features(rir), float(rir.metadata_distance())))
+        rir_id, fv, distance = _parse_feature_row(decision)   # from filter; no WAV decoded
+        expected = source_receiver_distance(row["source_pos"], row["receiver_pos"])
+        if distance != expected:   # same floats on both sides when the corpus matches
+            raise SchemaMismatchError(
+                f"{decisions_path} does not belong to {directory}: {rir_id} is at "
+                f"{distance!r} m there and at {expected!r} m in the metadata")
+        if room_filter is None or row["room_id"] in room_filter:
+            samples.append((rir_id, fv, distance))
     if not samples:
         raise ValueError("no accepted RIRs to train on")
 
@@ -314,8 +334,17 @@ def cmd_train(args) -> int:
     lr_grid = [float(tok) for tok in args.lr_grid.split(",")]
     epoch_grid = [int(tok) for tok in args.epoch_grid.split(",")]
     enforce = not args.allow_out_of_range
-    best, table = grid_search(gs_train, gs_val, lr_grid, epoch_grid, enforce_ranges=enforce)
+    try:
+        best, table = grid_search(gs_train, gs_val, lr_grid, epoch_grid, enforce_ranges=enforce)
+    except RuntimeError as exc:
+        raise ValueError(str(exc)) from exc
     model = train(pairs, best, enforce_ranges=enforce)
+    zero_weights_loss = float(np.mean(np.square([dist for _, dist in pairs])))
+    if not model.final_loss <= zero_weights_loss:   # NaN fails this too
+        raise ValueError(
+            f"final fit diverged (lr {best.learning_rate}, {best.epochs} epochs): per-sample "
+            f"loss {model.final_loss:.4g} is above {zero_weights_loss:.4g}, the loss of the "
+            f"zero weights it starts from")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -331,7 +360,8 @@ def cmd_train(args) -> int:
             ],
         })
         write_jsonl(out / dataio.HOLDOUT_NAME,
-                    [_feature_row(rid, fv, dist) for rid, fv, dist in holdout])
+                    [_with_features({"rir_id": rid, "distance_m": dist}, fv)
+                     for rid, fv, dist in holdout])
         payload = {"schema_version": dataio.SCHEMA_VERSION}
         payload.update(model.to_json_dict())
         write_json(out / dataio.MODEL_NAME, payload)
@@ -341,25 +371,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_feature_rows(path: Path) -> list[tuple[str, FeatureVector, float]]:
-    rows = read_jsonl(path)
-    out = []
-    for row in rows:
-        if row.get("feature_schema_version") != FEATURE_SCHEMA_VERSION:
-            raise SchemaMismatchError(
-                f"feature row {row.get('rir_id')!r} carries schema "
-                f"{row.get('feature_schema_version')!r}, expected {FEATURE_SCHEMA_VERSION}"
-            )
-        try:
-            values = row["features"]
-            fv = FeatureVector(**{name: values[name] for name in FEATURE_NAMES})
-            out.append((row["rir_id"], fv, float(row["distance_m"])))
-        except (KeyError, TypeError) as exc:
-            raise SchemaMismatchError(
-                f"feature row {row.get('rir_id')!r} is malformed: {exc}") from exc
-    return out
-
-
 def cmd_eval(args) -> int:
     payload = read_json(args.model)
     check_schema(payload, f"model {args.model}")
@@ -367,7 +378,7 @@ def cmd_eval(args) -> int:
         model = EstimatorModel.from_json_dict(payload)
     except ValueError as exc:
         raise SchemaMismatchError(str(exc)) from exc
-    rows = _load_feature_rows(Path(args.dataset))
+    rows = [_parse_feature_row(row) for row in read_jsonl(args.dataset)]
     if not rows:
         raise ValueError(f"dataset {args.dataset} is empty")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,11 @@ def check_schema(payload: dict, what: str) -> None:
 
 
 class output_lock:
-    """Exclusive advisory lock on an output directory (context manager)."""
+    """Exclusive advisory lock on an output directory (context manager).
+
+    The lock file holds ``<pid> <hostname>`` of its owner, so a stale lock
+    names the run that left it.
+    """
 
     def __init__(self, directory: Path | str):
         self.path = Path(directory) / LOCK_FILENAME
@@ -108,10 +113,19 @@ class output_lock:
         try:
             self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
+            try:
+                owner = self.path.read_text().strip()
+            except OSError:
+                owner = ""
             raise OutputLockedError(
-                f"lock file {self.path} exists; another run may be writing here "
-                f"(delete it if that run is dead)"
+                f"lock file {self.path} exists, holding {owner!r}; another run may be "
+                f"writing here (delete it if that run is dead)"
             ) from None
+        try:
+            os.write(self._fd, f"{os.getpid()} {socket.gethostname()}\n".encode())
+        except OSError:
+            self.__exit__()
+            raise
         return self
 
     def __exit__(self, *exc_info):

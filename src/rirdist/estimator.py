@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import RIRecording, analyze_rir
+from .acoustics import AcousticMetrics
 
 FEATURE_NAMES = (
     "drr_db",
@@ -29,7 +29,6 @@ FEATURE_NAMES = (
     "bias",
 )
 FEATURE_SCHEMA_VERSION = 1
-EARLY_LATE_SPLIT_S = 0.050    # energy before/after 50 ms past the direct path
 
 LEARNING_RATE_RANGE = (1e-5, 1e-3)
 EPOCH_RANGE = (5, 50)
@@ -144,23 +143,13 @@ class EvalReport:
         }
 
 
-def extract_features(rir: RIRecording) -> FeatureVector:
-    """Descriptor vector of one RIR; no standardization happens here."""
-    metrics = analyze_rir(rir)
-    samples = rir.samples
-    split = metrics.direct_index + round(EARLY_LATE_SPLIT_S * rir.sample_rate)
-    early = samples[metrics.direct_index:split]
-    late = samples[split:]
-    early_energy = float(early @ early)
-    late_energy = float(late @ late)
-    floor = float(samples @ samples) * 1e-12
-    ratio_db = 10.0 * (math.log10(max(early_energy, floor)) -
-                       math.log10(max(late_energy, floor)))
+def extract_features(metrics: AcousticMetrics) -> FeatureVector:
+    """Descriptor vector of one RIR's metrics; no standardization happens here."""
     return FeatureVector(
         drr_db=metrics.drr_db,
         log_t60=math.log(metrics.t60_s),
-        direct_delay_ms=metrics.direct_index / rir.sample_rate * 1000.0,
-        early_late_ratio_db=ratio_db,
+        direct_delay_ms=metrics.direct_delay_ms,
+        early_late_ratio_db=metrics.early_late_ratio_db,
         total_energy_db=metrics.total_energy_db,
         bias=1.0,
     )
@@ -372,7 +361,7 @@ def grid_search(train_set: Sequence[tuple[FeatureVector, float]],
             if best is None or key < best[0]:
                 best = (key, config)
     if best is None:
-        raise RuntimeError("every grid cell failed; see the returned table")
+        raise RuntimeError(f"every grid cell failed (first error: {cells[0].error})")
     return best[1], cells
 
 

@@ -403,6 +403,8 @@ def test_descriptors_invariant_under_positive_scaling(tau, seed, gain):
     assert b.t60_s == pytest.approx(a.t60_s, rel=1e-9)
     assert b.drr_db == pytest.approx(a.drr_db, abs=1e-9)
     assert b.direct_index == a.direct_index
+    assert b.direct_delay_ms == a.direct_delay_ms
+    assert b.early_late_ratio_db == pytest.approx(a.early_late_ratio_db, abs=1e-9)
     assert b.echo_density == a.echo_density
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import socket
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +9,9 @@ import numpy as np
 import pytest
 
 from rirdist import acoustics, cli, dataio, filtering
+from rirdist.acoustics import analyze_rir
 from rirdist.cli import main
+from rirdist.estimator import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, extract_features
 
 from helpers import GOLDEN_EXPECTED, GOLDEN_ROOM_ID, golden_corpus, golden_enrollment
 
@@ -93,6 +97,22 @@ def test_output_lock_blocks_and_cleans_up(tmp_path):
     (out / dataio.LOCK_FILENAME).unlink()
     assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "1"]) == 0
     assert not (out / dataio.LOCK_FILENAME).exists()
+
+
+def test_output_lock_records_its_owner(tmp_path):
+    with dataio.output_lock(tmp_path):
+        owner = (tmp_path / dataio.LOCK_FILENAME).read_text()
+    assert owner == f"{os.getpid()} {socket.gethostname()}\n"
+    assert not (tmp_path / dataio.LOCK_FILENAME).exists()
+
+
+def test_locked_output_names_the_lock_owner(tmp_path, capsys):
+    out = tmp_path / "locked"
+    out.mkdir()
+    (out / dataio.LOCK_FILENAME).write_text("4242 otherhost\n")
+    assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "1"]) == 2
+    assert "'4242 otherhost'" in capsys.readouterr().err
+    assert (out / dataio.LOCK_FILENAME).read_text() == "4242 otherhost\n"
 
 
 # ------------------------------------------------------------------ generate
@@ -270,6 +290,23 @@ def test_filter_streams_the_corpus(pipeline_dirs, tmp_path):
     assert peak < decoded_corpus_bytes / 2
 
 
+def test_decisions_carry_each_rirs_features(pipeline_dirs):
+    corpus, _, _ = pipeline_dirs
+    metadata = {row["rir_id"]: row for row in dataio.read_jsonl(corpus / dataio.METADATA_NAME)}
+    rows = dataio.read_jsonl(corpus / dataio.DECISIONS_NAME)
+    assert any(row["accepted"] for row in rows)
+    for row in rows:
+        if row["t60_s"] is None:                 # no metrics, so no features
+            assert "features" not in row
+            continue
+        assert list(row)[-2:] == ["feature_schema_version", "features"]
+        assert row["feature_schema_version"] == FEATURE_SCHEMA_VERSION
+        rir = cli._read_recording(corpus, metadata[row["rir_id"]])
+        recomputed = extract_features(analyze_rir(rir)).as_array()
+        assert [row["features"][name].hex() for name in FEATURE_NAMES] \
+            == [float(value).hex() for value in recomputed]
+
+
 # ------------------------------------------------------------ train and eval
 
 def test_pipeline_train_outputs(pipeline_dirs):
@@ -365,8 +402,54 @@ def test_filter_and_train_do_one_descriptor_pass_per_rir(pipeline_dirs, tmp_path
     assert main(["train", "--in", str(corpus), "--decisions", str(decisions),
                  "--out", str(tmp_path / "model"), "--seed", "3",
                  "--lr-grid", "1e-4", "--epoch-grid", "5"]) == 0
-    assert len(wav_reads) == accepted
-    assert len(edc_calls) == n_corpus + n_enroll + accepted
+    assert wav_reads == []                          # train reads filter's features
+    assert len(edc_calls) == n_corpus + n_enroll
+
+
+def _train_argv(corpus, out, *extra):
+    return ["train", "--in", str(corpus), "--out", str(out), "--seed", "3", *extra]
+
+
+def test_train_refuses_decisions_without_features(pipeline_dirs, tmp_path):
+    corpus, _, _ = pipeline_dirs
+    rows = dataio.read_jsonl(corpus / dataio.DECISIONS_NAME)
+    for row in rows:
+        row.pop("feature_schema_version", None)
+        row.pop("features", None)
+    old_format = tmp_path / "decisions.jsonl"
+    dataio.write_jsonl(old_format, rows)
+    out = tmp_path / "model"
+    assert main(_train_argv(corpus, out, "--decisions", str(old_format))) == 4
+    assert not out.exists()
+
+
+def test_train_refuses_decisions_of_another_corpus(pipeline_dirs, tmp_path):
+    corpus, _, _ = pipeline_dirs
+    other = tmp_path / "other"       # same rooms and rir_ids, other scenes
+    assert main(["generate", "--out", str(other), "--rooms", "1-3",
+                 "--n", "16", "--seed", "4"]) == 0
+    out = tmp_path / "model"
+    assert main(_train_argv(other, out, "--decisions", str(corpus / dataio.DECISIONS_NAME),
+                            "--lr-grid", "1e-4", "--epoch-grid", "5")) == 4
+    assert not out.exists()
+
+
+def test_train_with_every_grid_cell_failing_exits_2(pipeline_dirs, tmp_path, capsys):
+    corpus, _, _ = pipeline_dirs
+    out = tmp_path / "model"
+    assert main(_train_argv(corpus, out, "--allow-out-of-range",
+                            "--lr-grid", "1e300", "--epoch-grid", "50")) == 2
+    assert "every grid cell failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_refuses_a_diverged_final_fit(pipeline_dirs, tmp_path, capsys):
+    corpus, _, _ = pipeline_dirs
+    out = tmp_path / "model"
+    assert main(_train_argv(corpus, out, "--allow-out-of-range",
+                            "--lr-grid", "0.1", "--epoch-grid", "5")) == 2
+    assert "final fit diverged" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_without_decisions_is_missing_data(tmp_path):

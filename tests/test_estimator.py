@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rirdist.acoustics import InsufficientDecayError, RIRecording
+from rirdist.acoustics import InsufficientDecayError, RIRecording, analyze_rir
 from rirdist.estimator import (
     DEFAULT_EPOCH_GRID,
     DEFAULT_LR_GRID,
@@ -79,7 +79,7 @@ def test_feature_vector_array_order():
 
 
 def test_extract_features_near_field_fixture():
-    features = extract_features(_near_field_rir())
+    features = extract_features(analyze_rir(_near_field_rir()))
     assert features.direct_delay_ms == 10.0
     assert features.drr_db == 100.0                      # no energy outside the window
     assert features.log_t60 == pytest.approx(math.log(0.0025), abs=0.05)
@@ -92,13 +92,13 @@ def test_extract_features_propagates_degenerate_signal():
     impulse = np.zeros(32000)
     impulse[0] = 1.0
     with pytest.raises(InsufficientDecayError):
-        extract_features(RIRecording(samples=impulse))
+        extract_features(analyze_rir(RIRecording(samples=impulse)))
 
 
 def test_extract_features_scaling_contract():
     rir = _near_field_rir()
     scaled = dataclasses.replace(rir, samples=rir.samples * 4.0)
-    base, loud = extract_features(rir), extract_features(scaled)
+    base, loud = extract_features(analyze_rir(rir)), extract_features(analyze_rir(scaled))
     assert loud.drr_db == base.drr_db
     assert loud.direct_delay_ms == base.direct_delay_ms
     assert loud.log_t60 == pytest.approx(base.log_t60, rel=1e-9)
