@@ -109,6 +109,8 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with output_lock(out):
+        # an interrupted rerun must not leave the old marker beside new WAVs
+        (out / dataio.MANIFEST_NAME).unlink(missing_ok=True)
         metadata = []
         for room in rooms:
             scenes = sample_scenes(room, args.n, seed=_derived_seed(args.seed, room.room_id))
@@ -134,6 +136,7 @@ def cmd_generate(args) -> int:
             "count": len(metadata),
             "sample_rate": config.sample_rate,
             "duration_samples": config.n_samples,
+            "synthesis_config": dataclasses.asdict(config),
         })
     print(f"generated {len(metadata)} RIRs in {out}")
     return 0

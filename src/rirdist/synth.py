@@ -11,11 +11,17 @@ deterministic function of (room, query).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import SPEED_OF_SOUND_M_S, RIRecording, ZeroEnergyError
+from .acoustics import (
+    SPEED_OF_SOUND_M_S,
+    RIRecording,
+    ZeroEnergyError,
+    source_receiver_distance,
+)
 
 MIN_ROOM_DIM_M = 1.0
 MAX_ROOM_DIM_M = 30.0
@@ -88,8 +94,7 @@ class SceneQuery:
 
     @property
     def distance_m(self) -> float:
-        delta = np.asarray(self.source_pos) - np.asarray(self.receiver_pos)
-        return float(np.linalg.norm(delta))
+        return source_receiver_distance(self.source_pos, self.receiver_pos)
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,19 @@ def _axis_images(length: float, coord: float, order: int):
     return np.asarray(coords), np.asarray(counts)
 
 
+@functools.lru_cache(maxsize=1)
+def _room_plan(room: ShoeboxRoom, config: SynthesisConfig):
+    """What every RIR of a room shares: the (x, y, z) image indices with at
+    most ``max_image_order`` reflections, their wall gains and the tail
+    envelope. One entry, because ``generate`` walks one room at a time."""
+    order = config.max_image_order
+    nx, ny, nz = (_axis_images(length, 0.0, order)[1] for length in room.dims)
+    counts = nx[:, None, None] + ny[None, :, None] + nz[None, None, :]
+    keep = np.nonzero(counts <= order)
+    t_rel = np.arange(config.n_samples - config.crossover_sample) / config.sample_rate
+    return keep, (1.0 - room.absorption) ** counts[keep], np.exp(-t_rel / room.decay_tau_s())
+
+
 def image_source_rir(room: ShoeboxRoom, query: SceneQuery,
                      config: SynthesisConfig = DEFAULT_CONFIG) -> RIRecording:
     """Early part of the impulse response from the image-source sum.
@@ -166,32 +184,23 @@ def image_source_rir(room: ShoeboxRoom, query: SceneQuery,
     linear interpolation at its fractional delay.
     """
     validate_scene(room, query)
-    order = config.max_image_order
-
-    per_axis = [_axis_images(room.dims[a], query.source_pos[a], order) for a in range(3)]
-    cx, nx = per_axis[0]
-    cy, ny = per_axis[1]
-    cz, nz = per_axis[2]
-
-    counts = (nx[:, None, None] + ny[None, :, None] + nz[None, None, :]).ravel()
-    keep = counts <= order
-    dx = (cx[:, None, None] - query.receiver_pos[0]) + np.zeros((1, cy.size, cz.size))
-    dy = (cy[None, :, None] - query.receiver_pos[1]) + np.zeros((cx.size, 1, cz.size))
-    dz = (cz[None, None, :] - query.receiver_pos[2]) + np.zeros((cx.size, cy.size, 1))
-    distances = np.sqrt(dx.ravel() ** 2 + dy.ravel() ** 2 + dz.ravel() ** 2)[keep]
-    counts = counts[keep]
+    (ix, iy, iz), gains, _ = _room_plan(room, config)
+    cx, cy, cz = (_axis_images(room.dims[a], query.source_pos[a], config.max_image_order)[0]
+                  for a in range(3))
+    rx, ry, rz = query.receiver_pos
+    distances = np.sqrt((cx[ix] - rx) ** 2 + (cy[iy] - ry) ** 2 + (cz[iz] - rz) ** 2)
 
     delays_s = distances / config.speed_of_sound
     in_window = delays_s < config.tail_crossover_ms / 1000.0
-    distances, counts, delays_s = distances[in_window], counts[in_window], delays_s[in_window]
-
-    out = np.zeros(config.n_samples)
-    amplitudes = (1.0 - room.absorption) ** counts / distances
-    positions = delays_s * config.sample_rate
+    amplitudes = gains[in_window] / distances[in_window]
+    positions = delays_s[in_window] * config.sample_rate
     base = np.floor(positions).astype(np.int64)
     frac = positions - base
-    np.add.at(out, base, amplitudes * (1.0 - frac))
-    np.add.at(out, base + 1, amplitudes * frac)
+    # one bincount over both taps accumulates in np.add.at's order; a second
+    # tap past the last sample (crossover within a sample of the end) is dropped
+    out = np.bincount(np.concatenate((base, base + 1)),
+                      weights=np.concatenate((amplitudes * (1.0 - frac), amplitudes * frac)),
+                      minlength=config.n_samples)[:config.n_samples]
 
     return RIRecording(
         samples=out,
@@ -222,7 +231,6 @@ def synthesize_rir(room: ShoeboxRoom, query: SceneQuery,
     early = image_source_rir(room, query, config)
     n = config.n_samples
     n_cross = config.crossover_sample
-    tau = room.decay_tau_s()
 
     # RMS of the last 20 ms of the early part anchors the tail level.
     match_len = min(n_cross, round(0.020 * config.sample_rate))
@@ -235,14 +243,12 @@ def synthesize_rir(room: ShoeboxRoom, query: SceneQuery,
             raise ZeroEnergyError("image-source part is empty, cannot anchor the tail")
         body = early.samples[nonzero[0]:nonzero[-1] + 1]
         midpoint = 0.5 * (nonzero[0] + nonzero[-1])
-        decay = np.exp(-((n_cross - midpoint) / config.sample_rate) / tau)
+        decay = np.exp(-((n_cross - midpoint) / config.sample_rate) / room.decay_tau_s())
         mean_square = float(body @ body) / body.size * decay ** 2
 
-    t_rel = np.arange(n - n_cross) / config.sample_rate
-    envelope = np.exp(-t_rel / tau)
+    _, _, envelope = _room_plan(room, config)
     noise = _tail_rng(room, query).standard_normal(n - n_cross)
-
-    samples = early.samples.copy()
+    samples = early.samples
     samples[n_cross:] = np.sqrt(mean_square) * envelope * noise
     return RIRecording(
         samples=samples,

@@ -12,6 +12,7 @@ from rirdist import acoustics, cli, dataio, filtering
 from rirdist.acoustics import analyze_rir
 from rirdist.cli import main
 from rirdist.estimator import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, extract_features
+from rirdist.synth import SynthesisConfig
 
 from helpers import GOLDEN_EXPECTED, GOLDEN_ROOM_ID, golden_corpus, golden_enrollment
 
@@ -132,6 +133,32 @@ def test_generate_writes_complete_corpus(tmp_path):
         assert rate == 32000 and samples.size == 32000
         assert np.max(np.abs(samples)) == pytest.approx(1.0, abs=1e-6)
         assert row["norm_gain"] > 0.0
+    assert manifest["synthesis_config"] == dataclasses.asdict(SynthesisConfig())
+
+    custom = tmp_path / "custom"
+    assert main(["generate", "--out", str(custom), "--rooms", "1", "--n", "1",
+                 "--order", "3", "--crossover-ms", "60"]) == 0
+    recorded = dataio.read_json(custom / dataio.MANIFEST_NAME)["synthesis_config"]
+    assert recorded == dataclasses.asdict(
+        SynthesisConfig(max_image_order=3, tail_crossover_ms=60.0))
+
+
+def test_interrupted_regenerate_leaves_no_completion_marker(tmp_path, monkeypatch):
+    out = tmp_path / "corpus"
+    assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "3", "--seed", "1"]) == 0
+    written = []
+
+    def failing_write_wav(path, samples, sample_rate):
+        if len(written) == 2:
+            raise OSError("disk full")
+        written.append(path)
+        dataio.write_wav(path, samples, sample_rate)
+
+    monkeypatch.setattr(cli, "write_wav", failing_write_wav)
+    assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "3", "--seed", "2"]) == 2
+    assert len(written) == 2
+    assert not (out / dataio.MANIFEST_NAME).exists()
+    assert main(["analyze", "--in", str(out)]) == 3
 
 
 def test_generate_is_byte_deterministic(tmp_path):

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rirdist.acoustics import RIRecording, analyze_rir, detect_direct_path, schroeder_edc, estimate_t60
+from rirdist.acoustics import (
+    RIRecording,
+    ZeroEnergyError,
+    analyze_rir,
+    detect_direct_path,
+    estimate_t60,
+    schroeder_edc,
+)
 from rirdist.synth import (
     DEFAULT_CONFIG,
     GeometryError,
@@ -16,6 +25,7 @@ from rirdist.synth import (
     synthesize_rir,
     validate_scene,
 )
+from rirdist.synth import _axis_images, _tail_rng
 
 FREE_FIELD_ROOM = ShoeboxRoom(dims=(30.0, 29.0, 28.0), absorption=0.5, room_id="ff")
 DIRECT_ONLY = SynthesisConfig(max_image_order=0)
@@ -145,6 +155,16 @@ def test_image_source_respects_crossover_window():
     assert np.all(rir.samples[crossover + 1:] == 0.0)
 
 
+def test_tap_past_the_last_sample_is_dropped():
+    # an image arrives at sample 31999.x, just before a 999.99 ms crossover,
+    # so its second interpolation tap would land on sample 32000
+    room = ShoeboxRoom(dims=(30.0, 30.0, 30.0), absorption=0.05, room_id="end")
+    query = SceneQuery((14.6, 25.91, 27.15), (11.02, 17.0, 10.01))
+    config = SynthesisConfig(tail_crossover_ms=999.99)
+    assert image_source_rir(room, query, config).samples.size == config.n_samples
+    assert synthesize_rir(room, query, config).samples.size == config.n_samples
+
+
 # ------------------------------------------------------------ full synthesis
 
 def test_synthesize_is_deterministic():
@@ -211,6 +231,142 @@ def test_distance_recovery_small_batch():
             if abs(implied - query.distance_m) <= 0.011:
                 recovered += 1
     assert recovered >= 39          # at most one coincident-reflection miss
+
+
+def test_sparse_early_part_extrapolates_the_tail_level():
+    """Direct path only, 5 m away: the last 20 ms before the crossover are
+    silent, so the tail level comes from the early part's overall level."""
+    query = SceneQuery((10.0, 10.0, 10.0), (15.0, 10.0, 10.0))
+    rir = synthesize_rir(FREE_FIELD_ROOM, query, DIRECT_ONLY)
+    early = rir.samples[:DIRECT_ONLY.crossover_sample]
+    assert not np.any(early[-round(0.020 * 32000):])
+    tail = rir.samples[DIRECT_ONLY.crossover_sample:]
+    assert np.all(np.isfinite(tail)) and np.any(tail != 0.0)
+    _assert_matches_reference(FREE_FIELD_ROOM, query, DIRECT_ONLY)
+
+
+def test_direct_path_after_the_crossover_raises_zero_energy():
+    # 38.2 m apart: the direct path arrives at 111 ms, after the 80 ms crossover
+    query = SceneQuery((1.0, 1.0, 1.0), (29.0, 27.0, 1.0))
+    assert query.distance_m > 0.080 * 343.0
+    with pytest.raises(ZeroEnergyError):
+        synthesize_rir(FREE_FIELD_ROOM, query, DIRECT_ONLY)
+
+
+# ---------------------------------------------- reference implementation
+#
+# The image-source sum and the tail as written before the room-invariant
+# work (image mask, wall gains, tail envelope) was cached per room: every
+# image distance computed on the full grid, both taps scattered with
+# np.add.at, the envelope recomputed per query. The cached path must
+# reproduce these bytes exactly.
+
+def _reference_image_part(room, query, config):
+    validate_scene(room, query)
+    order = config.max_image_order
+
+    per_axis = [_axis_images(room.dims[a], query.source_pos[a], order) for a in range(3)]
+    cx, nx = per_axis[0]
+    cy, ny = per_axis[1]
+    cz, nz = per_axis[2]
+
+    counts = (nx[:, None, None] + ny[None, :, None] + nz[None, None, :]).ravel()
+    keep = counts <= order
+    dx = (cx[:, None, None] - query.receiver_pos[0]) + np.zeros((1, cy.size, cz.size))
+    dy = (cy[None, :, None] - query.receiver_pos[1]) + np.zeros((cx.size, 1, cz.size))
+    dz = (cz[None, None, :] - query.receiver_pos[2]) + np.zeros((cx.size, cy.size, 1))
+    distances = np.sqrt(dx.ravel() ** 2 + dy.ravel() ** 2 + dz.ravel() ** 2)[keep]
+    counts = counts[keep]
+
+    delays_s = distances / config.speed_of_sound
+    in_window = delays_s < config.tail_crossover_ms / 1000.0
+    distances, counts, delays_s = distances[in_window], counts[in_window], delays_s[in_window]
+
+    out = np.zeros(config.n_samples)
+    amplitudes = (1.0 - room.absorption) ** counts / distances
+    positions = delays_s * config.sample_rate
+    base = np.floor(positions).astype(np.int64)
+    frac = positions - base
+    np.add.at(out, base, amplitudes * (1.0 - frac))
+    np.add.at(out, base + 1, amplitudes * frac)
+    return out
+
+
+def _reference_synthesize(room, query, config):
+    early = _reference_image_part(room, query, config)
+    n = config.n_samples
+    n_cross = config.crossover_sample
+    tau = room.decay_tau_s()
+
+    match_len = min(n_cross, round(0.020 * config.sample_rate))
+    reference = early[n_cross - match_len:n_cross]
+    mean_square = float(reference @ reference) / match_len
+    if mean_square <= 0.0:
+        nonzero = np.nonzero(early[:n_cross])[0]
+        if nonzero.size == 0:
+            raise ZeroEnergyError("image-source part is empty, cannot anchor the tail")
+        body = early[nonzero[0]:nonzero[-1] + 1]
+        midpoint = 0.5 * (nonzero[0] + nonzero[-1])
+        decay = np.exp(-((n_cross - midpoint) / config.sample_rate) / tau)
+        mean_square = float(body @ body) / body.size * decay ** 2
+
+    t_rel = np.arange(n - n_cross) / config.sample_rate
+    envelope = np.exp(-t_rel / tau)
+    noise = _tail_rng(room, query).standard_normal(n - n_cross)
+
+    samples = early.copy()
+    samples[n_cross:] = np.sqrt(mean_square) * envelope * noise
+    return samples
+
+
+def _outcome(fn, *args):
+    """Sample bytes, or the type and message of the error raised."""
+    try:
+        result = fn(*args)
+    except (GeometryError, ZeroEnergyError) as exc:
+        return type(exc).__name__, str(exc)
+    return (result.samples if isinstance(result, RIRecording) else result).tobytes()
+
+
+def _assert_matches_reference(room, query, config):
+    assert _outcome(image_source_rir, room, query, config) \
+        == _outcome(_reference_image_part, room, query, config)
+    assert _outcome(synthesize_rir, room, query, config) \
+        == _outcome(_reference_synthesize, room, query, config)
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.floats(1.0, 30.0)] * 3),
+       absorption=st.floats(0.01, 0.99),
+       order=st.integers(0, 12),
+       crossover_ms=st.floats(5.0, 200.0),
+       seed=st.integers(0, 2**31 - 1),
+       source=st.tuples(_UNIT, _UNIT, _UNIT),
+       receiver=st.tuples(_UNIT, _UNIT, _UNIT))
+def test_synthesis_matches_reference_bytes(dims, absorption, order, crossover_ms, seed,
+                                           source, receiver):
+    room = ShoeboxRoom(dims=dims, absorption=absorption, room_id="h", seed=seed)
+    config = SynthesisConfig(max_image_order=order, tail_crossover_ms=crossover_ms)
+
+    def inside(fractions):
+        return tuple(0.1 + u * (d - 0.2) for u, d in zip(fractions, room.dims))
+
+    _assert_matches_reference(room, SceneQuery(inside(source), inside(receiver)), config)
+
+
+def test_interleaved_rooms_never_reuse_a_stale_plan():
+    room_a, room_b = builtin_room(2), builtin_room(17)
+    coarse = SynthesisConfig(max_image_order=3, tail_crossover_ms=60.0)
+    query_a = SceneQuery((1.2, 1.1, 1.0), (3.6, 2.9, 2.1))
+    query_b = SceneQuery((2.0, 1.5, 1.2), (7.5, 5.1, 2.8))
+    for room, query, config in ((room_a, query_a, DEFAULT_CONFIG),
+                                (room_b, query_b, DEFAULT_CONFIG),
+                                (room_a, query_a, DEFAULT_CONFIG),
+                                (room_a, query_a, coarse)):
+        _assert_matches_reference(room, query, config)
 
 
 # ---------------------------------------------------------------- normalize
