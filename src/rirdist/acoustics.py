@@ -4,7 +4,11 @@ Energy decay curves (Schroeder backward integration), reverberation time
 fits, direct-path detection, direct-to-reverberant ratio, and early
 reflection profiles. Everything operates on :class:`RIRecording` values,
 is pure (inputs are never mutated), and works in float64 regardless of
-the storage dtype of the samples.
+the storage dtype of the samples. The per-RIR functions allocate as few
+full-length arrays as they can and reuse their own temporaries in place,
+never their inputs: a second of float64 audio is large enough that each
+fresh array costs page faults. The in-place forms evaluate the same
+expressions in the same order, so results are bit-equal.
 """
 
 from __future__ import annotations
@@ -41,6 +45,10 @@ class ZeroEnergyError(ValueError):
 
 class InsufficientDecayError(ValueError):
     """Raised when a decay curve lacks the range needed for a reliable fit."""
+
+
+class NonFiniteSignalError(ValueError):
+    """Raised when a signal's energy is not finite (NaN, inf, or overflowing samples)."""
 
 
 @dataclass(frozen=True)
@@ -145,15 +153,24 @@ def schroeder_edc(rir: RIRecording) -> EnergyDecayCurve:
 
     ``values_db[n] = 10 log10(sum_{k>=n} x[k]^2 / total)``, clamped at
     the -120 dB floor. Raises :class:`ZeroEnergyError` for all-zero
-    input.
+    input and :class:`NonFiniteSignalError` when the total energy is NaN
+    or infinite, including squares or sums that overflow.
     """
-    power = rir.samples.astype(np.float64) ** 2
-    tail_energy = np.cumsum(power[::-1])[::-1]
-    total = float(tail_energy[0])
+    # One full-length array: the squares, backward-integrated in place
+    # through a reversed view, then scaled to dB in place.
+    with np.errstate(over="ignore"):     # overflow is reported below, as inf
+        curve = rir.samples ** 2
+        np.cumsum(curve[::-1], out=curve[::-1])
+    total = float(curve[0])
+    if not math.isfinite(total):
+        raise NonFiniteSignalError(f"signal energy is {total}, not a finite number")
     if total <= 0.0:
         raise ZeroEnergyError("cannot integrate an all-zero impulse response")
-    ratio = np.maximum(tail_energy / total, 10.0 ** (DB_FLOOR / 10.0))
-    return EnergyDecayCurve(values_db=10.0 * np.log10(ratio), total_energy=total)
+    np.divide(curve, total, out=curve)
+    np.maximum(curve, 10.0 ** (DB_FLOOR / 10.0), out=curve)
+    np.log10(curve, out=curve)
+    np.multiply(10.0, curve, out=curve)
+    return EnergyDecayCurve(values_db=curve, total_energy=total)
 
 
 def estimate_t60(edc: EnergyDecayCurve, sample_rate: int) -> T60Estimate:
@@ -165,12 +182,14 @@ def estimate_t60(edc: EnergyDecayCurve, sample_rate: int) -> T60Estimate:
     usable decay raises :class:`InsufficientDecayError`. The slope is
     the closed-form least-squares one, sum((t - t_mean)(L - L_mean)) /
     sum((t - t_mean)^2), over the segment's times t and levels L.
+    Relies on the curve being non-increasing, as every
+    :class:`EnergyDecayCurve` is: the samples above the floor come first.
     """
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
     values = edc.values_db
-    usable = np.nonzero(values > DB_FLOOR + 1e-9)[0]
-    dynamic_range_db = -float(values[usable[-1]]) if usable.size else 0.0
+    n_usable = int(np.count_nonzero(values > DB_FLOOR + 1e-9))
+    dynamic_range_db = -float(values[n_usable - 1]) if n_usable else 0.0
     if dynamic_range_db < 15.0:
         raise InsufficientDecayError(
             f"only {dynamic_range_db:.1f} dB of usable decay, need at least 15 dB"
@@ -199,11 +218,12 @@ def detect_direct_path(rir: RIRecording) -> int:
     the direct path not being the tallest sample when a later reflection
     pair happens to add up.
     """
-    magnitudes = np.abs(rir.samples)
-    peak = float(magnitudes.max())
+    samples = rir.samples
+    peak = max(float(samples.max()), -float(samples.min()))   # max |x|, exactly
     if peak <= 0.0:
         raise ZeroEnergyError("all-zero impulse response has no direct path")
-    return int(np.argmax(magnitudes >= DIRECT_PEAK_FRACTION * peak))
+    level = DIRECT_PEAK_FRACTION * peak
+    return int(np.argmax((samples >= level) | (samples <= -level)))
 
 
 def geometric_distance(direct_index: int, sample_rate: int) -> float:
@@ -253,23 +273,26 @@ def early_reflection_profile(rir: RIRecording, direct_index: int) -> EchoDensity
     the direct sample's magnitude. Profiles that run past the end of the
     signal keep their ten windows but are flagged truncated.
     """
-    magnitudes = np.abs(rir.samples)
-    n = magnitudes.size
+    n = rir.samples.size
     if not 0 <= direct_index < n:
         raise ValueError(f"direct_index {direct_index} outside [0, {n})")
-    threshold = ECHO_PEAK_FRACTION * float(magnitudes[direct_index])
     window_len = round(ECHO_WINDOW_S * rir.sample_rate)
     span = ECHO_N_WINDOWS * window_len
     end = direct_index + span
     truncated = end > n
     end = min(end, n)
 
-    segment = magnitudes[direct_index:end]
+    # magnitudes of the profile span plus one neighbour on each side
+    lo = max(direct_index - 1, 0)
+    magnitudes = np.abs(rir.samples[lo:end + 1])
+    first, stop = direct_index - lo, end - lo
+    threshold = ECHO_PEAK_FRACTION * float(magnitudes[first])
+    segment = magnitudes[first:stop]
     left = np.empty_like(segment)
-    left[0] = magnitudes[direct_index - 1] if direct_index > 0 else 0.0
+    left[0] = magnitudes[first - 1] if direct_index > 0 else 0.0
     left[1:] = segment[:-1]
     right = np.empty_like(segment)
-    right[-1] = magnitudes[end] if end < n else 0.0
+    right[-1] = magnitudes[stop] if end < n else 0.0
     right[:-1] = segment[1:]
     is_echo = (segment > left) & (segment >= right) & (segment > threshold)
 

@@ -111,6 +111,8 @@ def cmd_generate(args) -> int:
     with output_lock(out):
         # an interrupted rerun must not leave the old marker beside new WAVs
         (out / dataio.MANIFEST_NAME).unlink(missing_ok=True)
+        previous_path = out / dataio.METADATA_NAME
+        previous = read_jsonl(previous_path) if previous_path.exists() else []
         metadata = []
         for room in rooms:
             scenes = sample_scenes(room, args.n, seed=_derived_seed(args.seed, room.room_id))
@@ -127,6 +129,11 @@ def cmd_generate(args) -> int:
                     "seed": int(room.seed),
                 })
         write_jsonl(out / dataio.METADATA_NAME, metadata)
+        # WAVs of the previous corpus that this one did not overwrite
+        written = {row["rir_id"] for row in metadata}
+        for row in previous:
+            if row["rir_id"] not in written:
+                (out / f"{row['rir_id']}.wav").unlink(missing_ok=True)
         # manifest last: its presence marks a complete corpus
         write_json(out / dataio.MANIFEST_NAME, {
             "schema_version": dataio.SCHEMA_VERSION,

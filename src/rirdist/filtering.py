@@ -10,6 +10,7 @@ rejection lists all applicable reasons, never just the first.
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ import numpy as np
 from .acoustics import (
     AcousticMetrics,
     InsufficientDecayError,
+    NonFiniteSignalError,
     RIRecording,
     ZeroEnergyError,
     metrics_from_edc,
@@ -26,6 +28,7 @@ from .acoustics import (
 
 EDC_GRID_STEP_S = 0.01    # reference decay curves live on a 10 ms grid ...
 EDC_GRID_POINTS = 100     # ... covering the first second
+_GRID_T = np.arange(EDC_GRID_POINTS) * EDC_GRID_STEP_S
 
 
 class FilterReason(enum.Enum):
@@ -93,11 +96,17 @@ class FilterBatchResult:
     yield_fraction: float | None = None      # None for an empty batch
 
 
+@functools.lru_cache(maxsize=1)
+def _time_axis(n: int, sample_rate: int) -> np.ndarray:
+    """Sample times of an n-sample signal, shared read-only by every call."""
+    t = np.arange(n) / float(sample_rate)
+    t.flags.writeable = False
+    return t
+
+
 def _edc_on_grid(values_db: np.ndarray, sample_rate: int) -> np.ndarray:
     """Resample a per-sample decay curve onto the 10 ms reference grid."""
-    grid_t = np.arange(EDC_GRID_POINTS) * EDC_GRID_STEP_S
-    t = np.arange(values_db.size) / float(sample_rate)
-    return np.interp(grid_t, t, values_db)
+    return np.interp(_GRID_T, _time_axis(values_db.size, sample_rate), values_db)
 
 
 def _descriptors(rir: RIRecording) -> tuple[AcousticMetrics, np.ndarray]:
@@ -140,7 +149,7 @@ def apply_quality_filter(rir: RIRecording, profile: ReferenceProfile,
     distance = rir.metadata_distance()
     try:
         metrics, grid = _descriptors(rir)
-    except (ZeroEnergyError, InsufficientDecayError) as exc:
+    except (ZeroEnergyError, InsufficientDecayError, NonFiniteSignalError) as exc:
         return FilterDecision(
             accepted=False, reasons=frozenset(), metrics=None,
             distance_m=distance, error=f"{type(exc).__name__}: {exc}",
@@ -163,8 +172,7 @@ def apply_quality_filter(rir: RIRecording, profile: ReferenceProfile,
     if distance > criteria.max_distance_m:
         reasons.add(FilterReason.DISTANCE_TOO_FAR)
 
-    n_compare = max(1, int(np.count_nonzero(
-        np.arange(EDC_GRID_POINTS) * EDC_GRID_STEP_S <= median)))
+    n_compare = max(1, int(np.count_nonzero(_GRID_T <= median)))
     deviation = grid[:n_compare] - profile.median_edc_db[:n_compare]
     if float(np.sqrt(np.mean(deviation ** 2))) > criteria.edc_max_rms_dev_db:
         reasons.add(FilterReason.EDC_SHAPE_MISMATCH)

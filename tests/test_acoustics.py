@@ -1,18 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import rirdist
+from rirdist import filtering
 from rirdist.acoustics import (
     DB_FLOOR,
+    DIRECT_PEAK_FRACTION,
     DRR_CEILING_DB,
     DRR_CEILING_FLAG,
+    ECHO_N_WINDOWS,
+    ECHO_PEAK_FRACTION,
     ECHO_TRUNCATED_FLAG,
+    ECHO_WINDOW_S,
     T60_FALLBACK_FLAG,
+    EchoDensityProfile,
     EnergyDecayCurve,
     InsufficientDecayError,
+    NonFiniteSignalError,
     RIRecording,
+    T60Estimate,
     ZeroEnergyError,
     analyze_rir,
     compute_drr,
@@ -22,6 +36,8 @@ from rirdist.acoustics import (
     geometric_distance,
     schroeder_edc,
 )
+from rirdist.acoustics import _MIN_FIT_POINTS, _T10_SPAN_DB, _T20_SPAN_DB
+from rirdist.filtering import EDC_GRID_POINTS, EDC_GRID_STEP_S
 from rirdist.synth import normalize_rir
 
 from helpers import (
@@ -96,6 +112,27 @@ def test_edc_scale_invariant_values_scaled_energy():
 def test_edc_zero_energy_raises():
     with pytest.raises(ZeroEnergyError):
         schroeder_edc(RIRecording(samples=np.zeros(64)))
+
+
+_NON_FINITE_CASES = {
+    "nan": (100, np.nan),
+    "+inf": (100, np.inf),
+    "-inf": (100, -np.inf),
+    "square overflows": (100, 1e200),
+    "sum overflows": (slice(0, 64), 1e154),    # each square is finite, their sum is not
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_CASES))
+def test_non_finite_signal_raises_typed_error(case):
+    samples = exp_envelope_rir(0.1, seed=6).samples.copy()
+    index, value = _NON_FINITE_CASES[case]
+    samples[index] = value
+    rir = RIRecording(samples=samples)
+    with pytest.raises(NonFiniteSignalError, match="not a finite number"):
+        schroeder_edc(rir)
+    with pytest.raises(NonFiniteSignalError):
+        analyze_rir(rir)
 
 
 def test_edc_matches_prescribed_curve_exactly():
@@ -440,3 +477,223 @@ def test_t60_closed_form_matches_polyfit(range_lo_db, range_hi_db, span, fallbac
     est = estimate_t60(EnergyDecayCurve(values_db=values, total_energy=1.0), sample_rate)
     assert est.fallback == fallback
     assert est.t60_s == pytest.approx(reference, rel=1e-12)
+
+
+# ------------------------------------------ in-place kernels vs the plain forms
+#
+# Test-only copies of the plain-expression bodies of the descriptor kernels.
+# The library evaluates the same expressions on fewer, reused arrays, so
+# every result must match these byte for byte, or fail with the same error.
+
+def _reference_edc(rir):
+    power = rir.samples.astype(np.float64) ** 2
+    tail_energy = np.cumsum(power[::-1])[::-1]
+    total = float(tail_energy[0])
+    if total <= 0.0:
+        raise ZeroEnergyError("cannot integrate an all-zero impulse response")
+    ratio = np.maximum(tail_energy / total, 10.0 ** (DB_FLOOR / 10.0))
+    return EnergyDecayCurve(values_db=10.0 * np.log10(ratio), total_energy=total)
+
+
+def _reference_t60(edc, sample_rate):
+    if sample_rate <= 0:
+        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+    values = edc.values_db
+    usable = np.nonzero(values > DB_FLOOR + 1e-9)[0]
+    dynamic_range_db = -float(values[usable[-1]]) if usable.size else 0.0
+    if dynamic_range_db < 15.0:
+        raise InsufficientDecayError(
+            f"only {dynamic_range_db:.1f} dB of usable decay, need at least 15 dB"
+        )
+    fallback = dynamic_range_db < 30.0
+    span = _T10_SPAN_DB if fallback else _T20_SPAN_DB
+    segment = np.nonzero((values <= span[0]) & (values >= span[1]))[0]
+    if segment.size < _MIN_FIT_POINTS:
+        raise InsufficientDecayError(
+            f"decay segment {span} dB holds {segment.size} samples, "
+            f"need {_MIN_FIT_POINTS} for a fit"
+        )
+    times = segment / float(sample_rate)
+    centered = times - times.mean()
+    levels = values[segment]
+    slope = float(centered @ (levels - levels.mean())) / float(centered @ centered)
+    if slope >= 0.0:
+        raise InsufficientDecayError("decay segment is not decaying")
+    return T60Estimate(t60_s=float(-60.0 / slope), fallback=fallback)
+
+
+def _reference_direct_path(rir):
+    magnitudes = np.abs(rir.samples)
+    peak = float(magnitudes.max())
+    if peak <= 0.0:
+        raise ZeroEnergyError("all-zero impulse response has no direct path")
+    return int(np.argmax(magnitudes >= DIRECT_PEAK_FRACTION * peak))
+
+
+def _reference_echo_profile(rir, direct_index):
+    magnitudes = np.abs(rir.samples)
+    n = magnitudes.size
+    if not 0 <= direct_index < n:
+        raise ValueError(f"direct_index {direct_index} outside [0, {n})")
+    threshold = ECHO_PEAK_FRACTION * float(magnitudes[direct_index])
+    window_len = round(ECHO_WINDOW_S * rir.sample_rate)
+    span = ECHO_N_WINDOWS * window_len
+    end = direct_index + span
+    truncated = end > n
+    end = min(end, n)
+
+    segment = magnitudes[direct_index:end]
+    left = np.empty_like(segment)
+    left[0] = magnitudes[direct_index - 1] if direct_index > 0 else 0.0
+    left[1:] = segment[:-1]
+    right = np.empty_like(segment)
+    right[-1] = magnitudes[end] if end < n else 0.0
+    right[:-1] = segment[1:]
+    is_echo = (segment > left) & (segment >= right) & (segment > threshold)
+
+    counts = []
+    for w in range(ECHO_N_WINDOWS):
+        counts.append(int(np.count_nonzero(is_echo[w * window_len:(w + 1) * window_len])))
+    return EchoDensityProfile(counts=tuple(counts), truncated=truncated)
+
+
+def _reference_edc_on_grid(values_db, sample_rate):
+    grid_t = np.arange(EDC_GRID_POINTS) * EDC_GRID_STEP_S
+    t = np.arange(values_db.size) / float(sample_rate)
+    return np.interp(grid_t, t, values_db)
+
+
+def _outcome(fn, *args):
+    """Comparable result of a call: exact bytes of every value, or the error."""
+    try:
+        result = fn(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, EnergyDecayCurve):
+        return result.values_db.tobytes(), result.total_energy.hex()
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    if isinstance(result, T60Estimate):
+        return result.t60_s.hex(), result.fallback
+    return result
+
+
+def _assert_kernels_match_reference(rir, direct_indices=()):
+    """Every kernel on ``rir``, chained as analyze and filter chain them."""
+    edc = _outcome(schroeder_edc, rir)
+    assert edc == _outcome(_reference_edc, rir)
+    if isinstance(edc[0], bytes):
+        curve = schroeder_edc(rir)
+        assert _outcome(estimate_t60, curve, rir.sample_rate) \
+            == _outcome(_reference_t60, curve, rir.sample_rate)
+        assert _outcome(filtering._edc_on_grid, curve.values_db, rir.sample_rate) \
+            == _outcome(_reference_edc_on_grid, curve.values_db, rir.sample_rate)
+    direct = _outcome(detect_direct_path, rir)
+    assert direct == _outcome(_reference_direct_path, rir)
+    indices = set(direct_indices) | {0, rir.samples.size - 1}
+    if isinstance(direct, int):
+        indices.add(direct)
+    for index in sorted(indices):
+        assert _outcome(early_reflection_profile, rir, index) \
+            == _outcome(_reference_echo_profile, rir, index)
+
+
+_RATES = st.sampled_from([8000, 16000, 32000, 48000])
+_REFERENCE = settings(max_examples=150, deadline=None)
+
+
+@_REFERENCE
+@given(samples=hnp.arrays(np.float64, st.integers(1, 3000),
+                          elements=st.floats(-1e150, 1e150)),
+       sample_rate=_RATES, data=st.data())
+def test_kernels_match_reference_on_arbitrary_signals(samples, sample_rate, data):
+    index = data.draw(st.integers(0, samples.size - 1))
+    _assert_kernels_match_reference(
+        RIRecording(samples=samples, sample_rate=sample_rate), [index])
+
+
+@_REFERENCE
+@given(tau=st.floats(0.005, 0.3), seed=_SEEDS, gain=_GAINS,
+       n=st.integers(64, 40000), sample_rate=_RATES)
+def test_kernels_match_reference_on_decaying_signals(tau, seed, gain, n, sample_rate):
+    samples = exp_envelope_rir(tau, duration_s=1.25, seed=seed).samples[:n] * gain
+    _assert_kernels_match_reference(RIRecording(samples=samples, sample_rate=sample_rate))
+
+
+@_REFERENCE
+@given(samples=hnp.arrays(np.float64, st.integers(2, 2000), elements=st.floats(-1.0, 1.0)),
+       peak=st.floats(1.0, 1e3), data=st.data(), sample_rate=_RATES,
+       polarity=st.sampled_from(["negative", "tie", "tie, negative first"]))
+def test_kernels_match_reference_on_negative_and_tied_peaks(samples, peak, data,
+                                                            sample_rate, polarity):
+    first = data.draw(st.integers(0, samples.size - 1))
+    second = data.draw(st.integers(0, samples.size - 1).filter(lambda i: i != first))
+    samples = samples.copy()
+    if polarity == "negative":
+        samples[first] = -peak
+    else:
+        samples[first], samples[second] = peak, -peak
+        if polarity == "tie, negative first":
+            samples[[first, second]] = samples[[second, first]]
+    assert max(samples.max(), -samples.min()) == peak
+    _assert_kernels_match_reference(
+        RIRecording(samples=samples, sample_rate=sample_rate), [first, second])
+
+
+def test_time_axis_cache_follows_length_and_rate():
+    """Interleaved lengths and rates never reuse another curve's time axis."""
+    for n, rate in [(32000, 32000), (500, 32000), (32000, 16000), (32000, 32000)]:
+        rir = RIRecording(samples=exp_envelope_rir(0.05, seed=n).samples[:n], sample_rate=rate)
+        values = schroeder_edc(rir).values_db
+        assert filtering._edc_on_grid(values, rate).tobytes() \
+            == _reference_edc_on_grid(values, rate).tobytes()
+
+
+def test_edc_leaves_its_input_untouched():
+    rir = exp_envelope_rir(0.1, seed=13)
+    before = rir.samples.copy()
+    analyze_rir(rir)
+    filtering._descriptors(rir)
+    assert rir.samples.tobytes() == before.tobytes()
+
+
+# ------------------------------------------------------------- page faults
+
+_FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from rirdist import filtering
+from rirdist.acoustics import RIRecording, analyze_rir
+kernel = {"analyze_rir": analyze_rir, "filter_descriptors": filtering._descriptors}[sys.argv[1]]
+t = np.arange(32000) / 32000
+rirs = [RIRecording(samples=np.random.default_rng(seed).standard_normal(t.size) * np.exp(-t / 0.1))
+        for seed in range(4)]
+kernel(rirs[0])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for i in range(200):
+    kernel(rirs[i % len(rirs)])
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor-fault counts are only meaningful on Linux")
+@pytest.mark.parametrize("kernel", ["analyze_rir", "filter_descriptors"])
+def test_descriptor_pass_does_not_fault_per_rir(kernel):
+    """Per-RIR temporaries are reused, not mapped afresh for every RIR.
+
+    Each full-length float64 temporary is 256 KB. With one array per step
+    of the decay curve, the allocator hands them back to the kernel on
+    free and faults them in again for the next RIR: about 155 minor faults
+    per RIR with one array per step (x86-64 Linux, glibc's default malloc
+    thresholds), against none once the curve is built in place. The probe
+    runs in a fresh interpreter, as a CLI stage does,
+    because the test process's allocator state (its thresholds rise with
+    the large blocks earlier tests freed) hides the faults.
+    """
+    src = str(Path(rirdist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE, kernel], env=env,
+                           capture_output=True, text=True, timeout=120, check=True)
+    assert float(probe.stdout) < 40

@@ -161,6 +161,16 @@ def test_interrupted_regenerate_leaves_no_completion_marker(tmp_path, monkeypatc
     assert main(["analyze", "--in", str(out)]) == 3
 
 
+def test_smaller_regenerate_leaves_no_stale_wavs(tmp_path):
+    out = tmp_path / "corpus"
+    assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "3", "--seed", "1"]) == 0
+    assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "2", "--seed", "1"]) == 0
+    rows = dataio.read_jsonl(out / dataio.METADATA_NAME)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [dataio.MANIFEST_NAME, dataio.METADATA_NAME] + [f"{row['rir_id']}.wav" for row in rows])
+    assert len(rows) == 2
+
+
 def test_generate_is_byte_deterministic(tmp_path):
     args = ["--rooms", "1,2", "--n", "2", "--seed", "5"]
     a, b = tmp_path / "a", tmp_path / "b"

@@ -130,6 +130,18 @@ def test_degenerate_signal_yields_error_decision(golden_profile):
     assert "InsufficientDecayError" in decision.error
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+def test_non_finite_signal_yields_error_decision(golden_profile, value):
+    rir = golden_corpus()["good_a"]
+    samples = rir.samples.copy()
+    samples[100] = value
+    decision = apply_quality_filter(dataclasses.replace(rir, samples=samples), golden_profile)
+    assert not decision.accepted
+    assert decision.reasons == frozenset()
+    assert decision.metrics is None
+    assert decision.error.startswith("NonFiniteSignalError: ")
+
+
 def test_missing_positions_yield_error_decision(golden_profile):
     rir = prescribed_edc_rir(linear_edc_db(1.6), room_id=GOLDEN_ROOM_ID)
     decision = apply_quality_filter(rir, golden_profile)
