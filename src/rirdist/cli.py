@@ -71,33 +71,37 @@ def _derived_seed(*parts) -> int:
 
 
 def _parse_rooms(selector: str) -> list[ShoeboxRoom]:
-    """Room selection: 'A-B' range, comma list of ids, or a JSON profile file."""
+    """Room selection: 'A-B' range, comma list of ids, or a JSON profile file.
+
+    Ids must be distinct: a room's id names its WAVs, so a repeated id
+    would overwrite the first room's WAVs under rows that still list its
+    positions.
+    """
     path = Path(selector)
     if path.is_file():
-        payload = read_json(path)
-        rooms = []
-        for entry in payload["rooms"]:
-            rooms.append(ShoeboxRoom(
-                dims=tuple(entry["dims"]),
-                absorption=entry["absorption"],
-                room_id=entry["room_id"],
-                seed=entry.get("seed", 0),
-            ))
+        rooms = [ShoeboxRoom(dims=tuple(entry["dims"]), absorption=entry["absorption"],
+                             room_id=entry["room_id"], seed=entry.get("seed", 0))
+                 for entry in read_json(path)["rooms"]]
         if not rooms:
             raise ValueError(f"profile file {selector} lists no rooms")
-        return rooms
-    if "-" in selector and "," not in selector:
-        lo, hi = selector.split("-", 1)
-        ids = list(range(int(lo), int(hi) + 1))
     else:
-        ids = [int(tok) for tok in selector.split(",") if tok.strip()]
-    if not ids:
-        raise ValueError(f"could not parse room selector {selector!r}")
-    known = set(builtin_room_ids())
-    for rid in ids:
-        if rid not in known:
-            raise ValueError(f"unknown built-in room id {rid}; built-ins are 1-20")
-    return [builtin_room(rid) for rid in ids]
+        if "-" in selector and "," not in selector:
+            lo, hi = selector.split("-", 1)
+            ids = list(range(int(lo), int(hi) + 1))
+        else:
+            ids = [int(tok) for tok in selector.split(",") if tok.strip()]
+        if not ids:
+            raise ValueError(f"could not parse room selector {selector!r}")
+        known = set(builtin_room_ids())
+        for rid in ids:
+            if rid not in known:
+                raise ValueError(f"unknown built-in room id {rid}; built-ins are 1-20")
+        rooms = [builtin_room(rid) for rid in ids]
+    names = [str(room.room_id) for room in rooms]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"room ids must be distinct, got {', '.join(repeated)} more than once")
+    return rooms
 
 
 def cmd_generate(args) -> int:
@@ -109,8 +113,11 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with output_lock(out):
-        # an interrupted rerun must not leave the old marker beside new WAVs
-        (out / dataio.MANIFEST_NAME).unlink(missing_ok=True)
+        # an interrupted rerun must not leave the old marker beside new WAVs,
+        # nor any rerun the old corpus's descriptors and decisions
+        for name in (dataio.MANIFEST_NAME, dataio.METRICS_NAME,
+                     dataio.DECISIONS_NAME, dataio.SUMMARY_NAME):
+            (out / name).unlink(missing_ok=True)
         previous_path = out / dataio.METADATA_NAME
         previous = read_jsonl(previous_path) if previous_path.exists() else []
         metadata = []

@@ -248,10 +248,13 @@ def synthesize_rir(room: ShoeboxRoom, query: SceneQuery,
 
     _, _, envelope = _room_plan(room, config)
     noise = _tail_rng(room, query).standard_normal(n - n_cross)
-    samples = early.samples
-    samples[n_cross:] = np.sqrt(mean_square) * envelope * noise
+    # built in place: a full-length temporary would be handed back to the
+    # kernel on free and faulted in again for the next RIR
+    tail = early.samples[n_cross:]
+    np.multiply(envelope, np.sqrt(mean_square), out=tail)
+    tail *= noise
     return RIRecording(
-        samples=samples,
+        samples=early.samples,
         sample_rate=config.sample_rate,
         source_pos=query.source_pos,
         receiver_pos=query.receiver_pos,
@@ -266,7 +269,7 @@ def normalize_rir(rir: RIRecording) -> RIRecording:
     ``normalized.samples * normalized.norm_gain`` reproduces the input's
     physical signal, and normalizing twice is a no-op.
     """
-    peak = float(np.max(np.abs(rir.samples)))
+    peak = max(float(rir.samples.max()), -float(rir.samples.min()))
     if peak <= 0.0:
         raise ZeroEnergyError("cannot normalize an all-zero impulse response")
     return RIRecording(

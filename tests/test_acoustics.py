@@ -662,23 +662,31 @@ def test_edc_leaves_its_input_untouched():
 _FAULT_PROBE = """
 import resource, sys
 import numpy as np
-from rirdist import filtering
+from rirdist import filtering, synth
 from rirdist.acoustics import RIRecording, analyze_rir
-kernel = {"analyze_rir": analyze_rir, "filter_descriptors": filtering._descriptors}[sys.argv[1]]
-t = np.arange(32000) / 32000
-rirs = [RIRecording(samples=np.random.default_rng(seed).standard_normal(t.size) * np.exp(-t / 0.1))
-        for seed in range(4)]
-kernel(rirs[0])
+if sys.argv[1] == "generate":
+    room = synth.builtin_room(1)
+    scenes = synth.sample_scenes(room, 4, seed=0)
+    def kernel(i):
+        return synth.normalize_rir(synth.synthesize_rir(room, scenes[i % 4]))
+else:
+    t = np.arange(32000) / 32000
+    rirs = [RIRecording(samples=np.random.default_rng(seed).standard_normal(t.size) * np.exp(-t / 0.1))
+            for seed in range(4)]
+    descriptors = {"analyze_rir": analyze_rir, "filter_descriptors": filtering._descriptors}[sys.argv[1]]
+    def kernel(i):
+        return descriptors(rirs[i % 4])
+kernel(0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for i in range(200):
-    kernel(rirs[i % len(rirs)])
+    kernel(i)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="minor-fault counts are only meaningful on Linux")
-@pytest.mark.parametrize("kernel", ["analyze_rir", "filter_descriptors"])
+@pytest.mark.parametrize("kernel", ["analyze_rir", "filter_descriptors", "generate"])
 def test_descriptor_pass_does_not_fault_per_rir(kernel):
     """Per-RIR temporaries are reused, not mapped afresh for every RIR.
 
@@ -686,10 +694,16 @@ def test_descriptor_pass_does_not_fault_per_rir(kernel):
     of the decay curve, the allocator hands them back to the kernel on
     free and faults them in again for the next RIR: about 155 minor faults
     per RIR with one array per step (x86-64 Linux, glibc's default malloc
-    thresholds), against none once the curve is built in place. The probe
+    thresholds), against none once the curve is built in place. The
+    synthesis kernel, with its tail built from two full-length products,
+    made about 80 per RIR before the tail was written in place. The probe
     runs in a fresh interpreter, as a CLI stage does,
     because the test process's allocator state (its thresholds rise with
-    the large blocks earlier tests freed) hides the faults.
+    the large blocks earlier tests freed) hides the faults. For the same
+    reason it builds only the chosen kernel's inputs: ``generate`` keeps
+    two full-length arrays alive at its peak (the synthesized RIR and its
+    normalized copy), right at glibc's trim threshold, so descriptor test
+    signals allocated first can tip it into trimming again.
     """
     src = str(Path(rirdist.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

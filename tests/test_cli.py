@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import socket
 import tracemalloc
 from pathlib import Path
@@ -169,6 +170,34 @@ def test_smaller_regenerate_leaves_no_stale_wavs(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == sorted(
         [dataio.MANIFEST_NAME, dataio.METADATA_NAME] + [f"{row['rir_id']}.wav" for row in rows])
     assert len(rows) == 2
+
+
+def test_regenerate_removes_stale_filter_outputs(pipeline_dirs, tmp_path):
+    """A rerun's WAVs must not sit beside the descriptors and decisions of the
+    corpus it replaced: same scenes, other WAVs, so the distances still match."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline_dirs[0], corpus)
+    assert main(["analyze", "--in", str(corpus)]) == 0
+    assert main(["generate", "--out", str(corpus), "--rooms", "1-3", "--n", "16",
+                 "--seed", "3", "--order", "2", "--crossover-ms", "20"]) == 0
+    for name in (dataio.METRICS_NAME, dataio.DECISIONS_NAME, dataio.SUMMARY_NAME):
+        assert not (corpus / name).exists(), name
+    assert main(_train_argv(corpus, tmp_path / "model",
+                            "--lr-grid", "1e-4", "--epoch-grid", "5")) == 3
+
+
+@pytest.mark.parametrize("rooms", ["1,1", "profile"])
+def test_generate_refuses_repeated_room_ids(tmp_path, capsys, rooms):
+    if rooms == "profile":
+        rooms = tmp_path / "rooms.json"
+        rooms.write_text(json.dumps({"rooms": [
+            {"room_id": "lab", "dims": [5.0, 4.0, 3.0], "absorption": 0.3, "seed": 4},
+            {"room_id": "lab", "dims": [6.0, 4.5, 3.0], "absorption": 0.2, "seed": 5},
+        ]}))
+    out = tmp_path / "corpus"
+    assert main(["generate", "--out", str(out), "--rooms", str(rooms), "--n", "2"]) == 2
+    assert "more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_is_byte_deterministic(tmp_path):

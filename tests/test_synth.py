@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rirdist.acoustics import (
     RIRecording,
@@ -399,6 +400,55 @@ def test_normalize_preserves_analysis_metrics():
     assert normed.t60_s == pytest.approx(raw.t60_s, rel=1e-9)
     assert normed.drr_db == pytest.approx(raw.drr_db, rel=1e-9)
     assert normed.total_energy_db == pytest.approx(raw.total_energy_db, abs=1e-9)
+
+
+def _reference_normalize(rir):
+    """The parent body, with the peak as ``np.max(np.abs(x))``."""
+    peak = float(np.max(np.abs(rir.samples)))
+    if peak <= 0.0:
+        raise ZeroEnergyError("cannot normalize an all-zero impulse response")
+    return RIRecording(samples=rir.samples / peak, sample_rate=rir.sample_rate,
+                       source_pos=rir.source_pos, receiver_pos=rir.receiver_pos,
+                       room_id=rir.room_id, norm_gain=rir.norm_gain * peak)
+
+
+def _normalize_outcome(fn, rir):
+    """Sample bytes and gain, or the type and message of the error raised."""
+    try:
+        result = fn(rir)
+    except ValueError as exc:   # ZeroEnergyError, or a gain that underflows to 0
+        return type(exc).__name__, str(exc)
+    return result.samples.tobytes(), result.norm_gain
+
+
+def _assert_normalize_matches_reference(rir):
+    assert _normalize_outcome(normalize_rir, rir) == _normalize_outcome(_reference_normalize, rir)
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=hnp.arrays(np.float64, st.integers(1, 3000), elements=st.floats(-1e300, 1e300)),
+       gain=st.floats(1e-3, 1e3))
+def test_normalize_matches_reference_on_arbitrary_signals(samples, gain):
+    _assert_normalize_matches_reference(RIRecording(samples=samples, norm_gain=gain))
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=hnp.arrays(np.float64, st.integers(2, 2000), elements=st.floats(-1.0, 1.0)),
+       peak=st.floats(1.0, 1e3), gain=st.floats(1e-3, 1e3), data=st.data(),
+       polarity=st.sampled_from(["negative", "tie", "tie, negative first"]))
+def test_normalize_matches_reference_on_negative_and_tied_peaks(samples, peak, gain, data,
+                                                                polarity):
+    first = data.draw(st.integers(0, samples.size - 1))
+    second = data.draw(st.integers(0, samples.size - 1).filter(lambda i: i != first))
+    samples = samples.copy()
+    if polarity == "negative":
+        samples[first] = -peak
+    else:
+        samples[first], samples[second] = peak, -peak
+        if polarity == "tie, negative first":
+            samples[[first, second]] = samples[[second, first]]
+    assert max(samples.max(), -samples.min()) == peak
+    _assert_normalize_matches_reference(RIRecording(samples=samples, norm_gain=gain))
 
 
 # -------------------------------------------------------------- scene sampling
