@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -46,6 +48,7 @@ from .estimator import (
     train,
 )
 from .filtering import (
+    DESCRIPTOR_ERRORS,
     FilterCriteria,
     FilterReason,
     MissingProfileError,
@@ -79,9 +82,12 @@ def _parse_rooms(selector: str) -> list[ShoeboxRoom]:
     """
     path = Path(selector)
     if path.is_file():
-        rooms = [ShoeboxRoom(dims=tuple(entry["dims"]), absorption=entry["absorption"],
-                             room_id=entry["room_id"], seed=entry.get("seed", 0))
-                 for entry in read_json(path)["rooms"]]
+        try:
+            rooms = [ShoeboxRoom(dims=tuple(entry["dims"]), absorption=entry["absorption"],
+                                 room_id=entry["room_id"], seed=entry.get("seed", 0))
+                     for entry in read_json(path)["rooms"]]
+        except KeyError as exc:
+            raise ValueError(f"room-profile file {selector} lacks the key {exc}") from None
         if not rooms:
             raise ValueError(f"profile file {selector} lists no rooms")
     else:
@@ -110,48 +116,49 @@ def cmd_generate(args) -> int:
     rooms = _parse_rooms(args.rooms)
     config = SynthesisConfig(max_image_order=args.order,
                              tail_crossover_ms=args.crossover_ms)
-    out = Path(args.out)
+    out = Path(args.out).resolve()
     out.mkdir(parents=True, exist_ok=True)
     with output_lock(out):
-        # an interrupted rerun must not leave the old marker beside new WAVs,
-        # nor any rerun the old corpus's descriptors and decisions
-        for name in (dataio.MANIFEST_NAME, dataio.METRICS_NAME,
-                     dataio.DECISIONS_NAME, dataio.SUMMARY_NAME):
-            (out / name).unlink(missing_ok=True)
-        previous_path = out / dataio.METADATA_NAME
-        previous = read_jsonl(previous_path) if previous_path.exists() else []
-        metadata = []
-        for room in rooms:
-            scenes = sample_scenes(room, args.n, seed=_derived_seed(args.seed, room.room_id))
-            for idx, scene in enumerate(scenes):
-                rir = normalize_rir(synthesize_rir(room, scene, config))
-                rir_id = f"room{room.room_id}_{idx:04d}"
-                write_wav(out / f"{rir_id}.wav", rir.samples, rir.sample_rate)
-                metadata.append({
-                    "rir_id": rir_id,
-                    "room_id": room.room_id,
-                    "source_pos": list(scene.source_pos),
-                    "receiver_pos": list(scene.receiver_pos),
-                    "norm_gain": float(rir.norm_gain),
-                    "seed": int(room.seed),
-                })
-        write_jsonl(out / dataio.METADATA_NAME, metadata)
-        # WAVs of the previous corpus that this one did not overwrite
-        written = {row["rir_id"] for row in metadata}
-        for row in previous:
-            if row["rir_id"] not in written:
-                (out / f"{row['rir_id']}.wav").unlink(missing_ok=True)
-        # manifest last: its presence marks a complete corpus
-        write_json(out / dataio.MANIFEST_NAME, {
-            "schema_version": dataio.SCHEMA_VERSION,
-            "seed": int(args.seed),
-            "rooms": [room.room_id for room in rooms],
-            "n_per_room": int(args.n),
-            "count": len(metadata),
-            "sample_rate": config.sample_rate,
-            "duration_samples": config.n_samples,
-            "synthesis_config": dataclasses.asdict(config),
-        })
+        if os.listdir(out) != [dataio.LOCK_FILENAME] and not (out / dataio.MANIFEST_NAME).exists():
+            raise ValueError(f"{out} holds files but is not a rirdist corpus; not replacing it")
+        # built beside out and swapped in whole, so a failed run leaves the old corpus
+        stage, retired = (out.parent / f".{out.name}.rirdist-{kind}-{os.getpid()}"
+                          for kind in ("new", "old"))
+        stage.mkdir()
+        try:
+            metadata = []
+            for room in rooms:
+                scenes = sample_scenes(room, args.n, seed=_derived_seed(args.seed, room.room_id))
+                for idx, scene in enumerate(scenes):
+                    rir = normalize_rir(synthesize_rir(room, scene, config))
+                    rir_id = f"room{room.room_id}_{idx:04d}"
+                    write_wav(stage / f"{rir_id}.wav", rir.samples, rir.sample_rate)
+                    metadata.append({
+                        "rir_id": rir_id,
+                        "room_id": room.room_id,
+                        "source_pos": list(scene.source_pos),
+                        "receiver_pos": list(scene.receiver_pos),
+                        "norm_gain": float(rir.norm_gain),
+                        "seed": int(room.seed),
+                    })
+            write_jsonl(stage / dataio.METADATA_NAME, metadata)
+            # manifest last: its presence marks a complete corpus
+            write_json(stage / dataio.MANIFEST_NAME, {
+                "schema_version": dataio.SCHEMA_VERSION,
+                "seed": int(args.seed),
+                "rooms": [room.room_id for room in rooms],
+                "n_per_room": int(args.n),
+                "count": len(metadata),
+                "sample_rate": config.sample_rate,
+                "duration_samples": config.n_samples,
+                "synthesis_config": dataclasses.asdict(config),
+            })
+            with output_lock(stage):   # its lock file moves in with it: out stays locked
+                out.rename(retired)
+                stage.rename(out)
+            shutil.rmtree(retired)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
     print(f"generated {len(metadata)} RIRs in {out}")
     return 0
 
@@ -177,10 +184,10 @@ def cmd_analyze(args) -> int:
     n_failed = 0
     for meta in _corpus_rows(directory):
         rir_id = meta["rir_id"]
+        rir = _read_recording(directory, meta)
         try:
-            rir = _read_recording(directory, meta)
             metrics = analyze_rir(rir)
-        except Exception as exc:
+        except DESCRIPTOR_ERRORS as exc:
             rows.append({"rir_id": rir_id, "error": f"{type(exc).__name__}: {exc}"})
             n_failed += 1
             continue
@@ -316,6 +323,11 @@ def cmd_train(args) -> int:
     decisions_path = Path(args.decisions) if args.decisions else directory / dataio.DECISIONS_NAME
     decisions = read_jsonl(decisions_path)
     metadata = {row["rir_id"]: row for row in _corpus_rows(directory)}
+    decided = [decision.get("rir_id") for decision in decisions]
+    if len(decided) != len(metadata) or set(decided) != metadata.keys():
+        raise SchemaMismatchError(
+            f"{decisions_path} does not decide exactly the RIRs of {directory}: "
+            f"{len(decided)} rows for {len(metadata)} RIRs")
 
     room_filter = None
     if args.rooms:
@@ -325,9 +337,7 @@ def cmd_train(args) -> int:
     for decision in decisions:
         if not decision["accepted"]:
             continue
-        row = metadata.get(decision["rir_id"])
-        if row is None:
-            raise MissingDataError(f"accepted RIR {decision['rir_id']} is not in {directory}")
+        row = metadata[decision["rir_id"]]
         rir_id, fv, distance = _parse_feature_row(decision)   # from filter; no WAV decoded
         expected = source_receiver_distance(row["source_pos"], row["receiver_pos"])
         if distance != expected:   # same floats on both sides when the corpus matches

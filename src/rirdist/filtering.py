@@ -30,6 +30,9 @@ EDC_GRID_STEP_S = 0.01    # reference decay curves live on a 10 ms grid ...
 EDC_GRID_POINTS = 100     # ... covering the first second
 _GRID_T = np.arange(EDC_GRID_POINTS) * EDC_GRID_STEP_S
 
+# what a degenerate RIR raises from the descriptor pass: it fails that RIR, not the run
+DESCRIPTOR_ERRORS = (ZeroEnergyError, InsufficientDecayError, NonFiniteSignalError)
+
 
 class FilterReason(enum.Enum):
     T60_OUT_OF_BAND = "t60_out_of_band"
@@ -149,7 +152,7 @@ def apply_quality_filter(rir: RIRecording, profile: ReferenceProfile,
     distance = rir.metadata_distance()
     try:
         metrics, grid = _descriptors(rir)
-    except (ZeroEnergyError, InsufficientDecayError, NonFiniteSignalError) as exc:
+    except DESCRIPTOR_ERRORS as exc:
         return FilterDecision(
             accepted=False, reasons=frozenset(), metrics=None,
             distance_m=distance, error=f"{type(exc).__name__}: {exc}",

@@ -144,22 +144,75 @@ def test_generate_writes_complete_corpus(tmp_path):
         SynthesisConfig(max_image_order=3, tail_crossover_ms=60.0))
 
 
-def test_interrupted_regenerate_leaves_no_completion_marker(tmp_path, monkeypatch):
-    out = tmp_path / "corpus"
-    assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "3", "--seed", "1"]) == 0
+def _fail_write_wav_after(monkeypatch, n_written):
+    """Make generate's WAV writer raise once ``n_written`` WAVs are written."""
     written = []
 
     def failing_write_wav(path, samples, sample_rate):
-        if len(written) == 2:
+        if len(written) == n_written:
             raise OSError("disk full")
         written.append(path)
         dataio.write_wav(path, samples, sample_rate)
 
     monkeypatch.setattr(cli, "write_wav", failing_write_wav)
+    return written
+
+
+def _snapshot(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_interrupted_regenerate_leaves_old_corpus_whole(tmp_path, monkeypatch):
+    out = tmp_path / "corpus"
+    assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "3", "--seed", "1"]) == 0
+    before = _snapshot(out)
+    written = _fail_write_wav_after(monkeypatch, 2)
     assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "3", "--seed", "2"]) == 2
     assert len(written) == 2
-    assert not (out / dataio.MANIFEST_NAME).exists()
-    assert main(["analyze", "--in", str(out)]) == 3
+    assert _snapshot(out) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus"]   # no staging sibling left
+
+
+def test_regenerate_after_an_interrupted_larger_run_leaves_no_extra_wavs(tmp_path, monkeypatch):
+    out = tmp_path / "corpus"
+    argv = ["generate", "--out", str(out), "--rooms", "1", "--seed", "1", "--n"]
+    assert main(argv + ["3"]) == 0
+    with monkeypatch.context() as patch:
+        _fail_write_wav_after(patch, 4)
+        assert main(argv + ["5"]) == 2
+    assert main(argv + ["2"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [dataio.MANIFEST_NAME, dataio.METADATA_NAME, "room1_0000.wav", "room1_0001.wav"])
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus"]
+
+
+def test_regenerate_keeps_out_locked_through_the_swap(tmp_path, monkeypatch):
+    out = tmp_path / "corpus"
+    argv = ["generate", "--out", str(out), "--rooms", "1", "--n", "1"]
+    assert main(argv) == 0
+    removals = []
+    rmtree = shutil.rmtree
+
+    def watching_rmtree(path, *args, **kwargs):
+        lock = out / dataio.LOCK_FILENAME
+        removals.append((Path(path).name, lock.read_text() if lock.exists() else None))
+        rmtree(path, *args, **kwargs)
+
+    monkeypatch.setattr(shutil, "rmtree", watching_rmtree)
+    assert main(argv) == 0
+    owner = f"{os.getpid()} {socket.gethostname()}\n"
+    assert removals[0] == (f".corpus.rirdist-old-{os.getpid()}", owner)
+    assert not (out / dataio.LOCK_FILENAME).exists()
+
+
+def test_generate_refuses_a_directory_that_is_not_a_corpus(tmp_path, capsys):
+    out = tmp_path / "mine"
+    out.mkdir()
+    (out / "notes.txt").write_text("keep me\n")
+    assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "1"]) == 2
+    assert "not a rirdist corpus" in capsys.readouterr().err
+    assert _snapshot(out) == {"notes.txt": b"keep me\n"}
+    assert [p.name for p in tmp_path.iterdir()] == ["mine"]
 
 
 def test_smaller_regenerate_leaves_no_stale_wavs(tmp_path):
@@ -198,6 +251,19 @@ def test_generate_refuses_repeated_room_ids(tmp_path, capsys, rooms):
     assert main(["generate", "--out", str(out), "--rooms", str(rooms), "--n", "2"]) == 2
     assert "more than once" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("profile, key", [
+    ({"room": []}, "rooms"),
+    ({"rooms": [{"room_id": "lab", "absorption": 0.3}]}, "dims"),
+])
+def test_generate_refuses_a_malformed_room_profile(tmp_path, capsys, profile, key):
+    rooms = tmp_path / "rooms.json"
+    rooms.write_text(json.dumps(profile))
+    assert main(["generate", "--out", str(tmp_path / "corpus"), "--rooms", str(rooms),
+                 "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert str(rooms) in err and repr(key) in err
 
 
 def test_generate_is_byte_deterministic(tmp_path):
@@ -252,6 +318,15 @@ def test_analyze_records_bad_rows_without_failing_the_run(tmp_path):
 
     dataio.write_wav(corpus / "room1_0000.wav", np.zeros(32000), 32000)
     assert main(["analyze", "--in", str(corpus)]) == 1   # every row failed
+
+
+def test_analyze_missing_wav_is_missing_data(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--out", str(corpus), "--rooms", "1",
+                 "--n", "2", "--seed", "4"]) == 0
+    (corpus / "room1_0001.wav").unlink()
+    assert main(["analyze", "--in", str(corpus)]) == 3
+    assert not (corpus / dataio.METRICS_NAME).exists()
 
 
 def test_analyze_missing_manifest_is_missing_data(tmp_path):
@@ -498,6 +573,18 @@ def test_train_refuses_decisions_of_another_corpus(pipeline_dirs, tmp_path):
     assert main(_train_argv(other, out, "--decisions", str(corpus / dataio.DECISIONS_NAME),
                             "--lr-grid", "1e-4", "--epoch-grid", "5")) == 4
     assert not out.exists()
+
+
+def test_train_refuses_decisions_that_do_not_cover_the_corpus(pipeline_dirs, tmp_path):
+    corpus, _, _ = pipeline_dirs
+    rows = dataio.read_jsonl(corpus / dataio.DECISIONS_NAME)
+    out = tmp_path / "model"
+    for cut in (rows[:len(rows) // 2], rows + rows[:1]):   # truncated; one id repeated
+        decisions = tmp_path / "decisions.jsonl"
+        dataio.write_jsonl(decisions, cut)
+        assert main(_train_argv(corpus, out, "--decisions", str(decisions),
+                                "--lr-grid", "1e-4", "--epoch-grid", "5")) == 4
+        assert not out.exists()
 
 
 def test_train_with_every_grid_cell_failing_exits_2(pipeline_dirs, tmp_path, capsys):
