@@ -13,7 +13,9 @@ expressions in the same order, so results are bit-equal.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,12 +185,15 @@ def estimate_t60(edc: EnergyDecayCurve, sample_rate: int) -> T60Estimate:
     the closed-form least-squares one, sum((t - t_mean)(L - L_mean)) /
     sum((t - t_mean)^2), over the segment's times t and levels L.
     Relies on the curve being non-increasing, as every
-    :class:`EnergyDecayCurve` is: the samples above the floor come first.
+    :class:`EnergyDecayCurve` is: the samples above the floor come first,
+    and the segment is one run ``[first, stop)`` of indices, so all three
+    bounds are binary searches.
     """
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
     values = edc.values_db
-    n_usable = int(np.count_nonzero(values > DB_FLOOR + 1e-9))
+    # bisect wants ascending keys; the negated curve is non-decreasing
+    n_usable = bisect.bisect_left(values, -(DB_FLOOR + 1e-9), key=operator.neg)  # > floor
     dynamic_range_db = -float(values[n_usable - 1]) if n_usable else 0.0
     if dynamic_range_db < 15.0:
         raise InsufficientDecayError(
@@ -196,15 +201,16 @@ def estimate_t60(edc: EnergyDecayCurve, sample_rate: int) -> T60Estimate:
         )
     fallback = dynamic_range_db < 30.0
     span = _T10_SPAN_DB if fallback else _T20_SPAN_DB
-    segment = np.nonzero((values <= span[0]) & (values >= span[1]))[0]
-    if segment.size < _MIN_FIT_POINTS:
+    first = bisect.bisect_left(values, -span[0], key=operator.neg)    # values > span[0]
+    stop = bisect.bisect_right(values, -span[1], key=operator.neg)    # values >= span[1]
+    if stop - first < _MIN_FIT_POINTS:
         raise InsufficientDecayError(
-            f"decay segment {span} dB holds {segment.size} samples, "
+            f"decay segment {span} dB holds {stop - first} samples, "
             f"need {_MIN_FIT_POINTS} for a fit"
         )
-    times = segment / float(sample_rate)
+    times = np.arange(first, stop) / float(sample_rate)
     centered = times - times.mean()
-    levels = values[segment]
+    levels = values[first:stop]
     slope = float(centered @ (levels - levels.mean())) / float(centered @ centered)
     if slope >= 0.0:
         raise InsufficientDecayError("decay segment is not decaying")

@@ -110,6 +110,26 @@ def _parse_rooms(selector: str) -> list[ShoeboxRoom]:
     return rooms
 
 
+def _remove_dead_stages(out: Path) -> None:
+    """Delete the staging directories of ``generate`` runs into ``out`` that were killed.
+
+    A ``.<name>.rirdist-new-<pid>`` sibling whose pid is no live process
+    is what a run killed before its cleanup left. Siblings of a live pid,
+    and every ``-old-`` sibling (a corpus being retired), are left alone.
+    """
+    prefix = f".{out.name}.rirdist-new-"
+    for entry in out.parent.iterdir():
+        pid = entry.name[len(prefix):]
+        if not (entry.name.startswith(prefix) and pid.isdecimal()):
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            shutil.rmtree(entry, ignore_errors=True)
+        except (OSError, OverflowError):   # alive under another user, or no pid at all
+            pass
+
+
 def cmd_generate(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
@@ -121,6 +141,7 @@ def cmd_generate(args) -> int:
     with output_lock(out):
         if os.listdir(out) != [dataio.LOCK_FILENAME] and not (out / dataio.MANIFEST_NAME).exists():
             raise ValueError(f"{out} holds files but is not a rirdist corpus; not replacing it")
+        _remove_dead_stages(out)
         # built beside out and swapped in whole, so a failed run leaves the old corpus
         stage, retired = (out.parent / f".{out.name}.rirdist-{kind}-{os.getpid()}"
                           for kind in ("new", "old"))

@@ -2,18 +2,21 @@
 
 RIRs travel as mono 32-bit float WAV at 32 kHz; everything else is JSON
 or JSON-lines. Writers are deterministic byte-for-byte for identical
-inputs: fixed key order, repr-roundtrip floats, no timestamps.
+inputs: fixed key order, repr-roundtrip floats, no timestamps. JSON and
+JSON-lines files are written to a sibling temp file and renamed into
+place, so a reader sees the old file or the new one, never a part.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
+import struct
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 SCHEMA_VERSION = 1
 LOCK_FILENAME = ".rirdist.lock"
@@ -42,23 +45,105 @@ class OutputLockedError(RuntimeError):
     """Another invocation appears to be writing the same output directory."""
 
 
+class WavFormatError(ValueError):
+    """A WAV file is not the mono IEEE float32 RIFF that :func:`read_wav` accepts."""
+
+
+# The one WAV layout rirdist writes, byte for byte what scipy.io.wavfile
+# writes for a mono float32 array: RIFF/WAVE, an 18-byte "fmt " chunk
+# (IEEE float, 1 channel, 32 bits, cbSize 0), a "fact" chunk holding the
+# frame count, then "data".
+_WAVE_FORMAT_IEEE_FLOAT = 3
+_WAV_HEADER = struct.Struct("<4sI4s4sIHHIIHHH4sII4sI")
+_FMT_FIELDS = struct.Struct("<HHIIHH")
+
+
 def write_wav(path: Path | str, samples: np.ndarray, sample_rate: int) -> None:
-    wavfile.write(str(path), sample_rate, np.asarray(samples, dtype=np.float32))
+    """Write mono samples as a 32-bit IEEE float WAV."""
+    data = np.ascontiguousarray(samples, dtype="<f4")
+    if data.ndim != 1:
+        raise ValueError(f"write_wav takes mono samples, got shape {data.shape}")
+    if not 0 < sample_rate < 2 ** 30:
+        raise ValueError(f"sample rate {sample_rate} outside (0, 2**30)")
+    header = _WAV_HEADER.pack(
+        b"RIFF", _WAV_HEADER.size - 8 + data.nbytes, b"WAVE",
+        b"fmt ", 18, _WAVE_FORMAT_IEEE_FLOAT, 1, sample_rate, 4 * sample_rate, 4, 32, 0,
+        b"fact", 4, data.size,
+        b"data", data.nbytes)
+    with open(path, "wb") as handle:
+        handle.write(header)
+        handle.write(memoryview(data))
 
 
 def read_wav(path: Path | str) -> tuple[np.ndarray, int]:
-    """Read a mono float WAV, returning float64 samples and the rate."""
+    """Read a mono IEEE float32 WAV, returning float64 samples and the rate.
+
+    Accepts RIFF/WAVE with a "fmt " chunk of format tag 3, one channel
+    and 32 bits per sample, followed somewhere by a "data" chunk of
+    whole samples. Other chunks (``fact``, ``LIST``, ...) are skipped,
+    honouring the pad byte after odd-sized ones. Anything else raises
+    :class:`WavFormatError`; a missing file raises
+    :class:`MissingDataError`.
+    """
     path = Path(path)
-    if not path.exists():
-        raise MissingDataError(f"WAV file not found: {path}")
-    rate, data = wavfile.read(str(path))
-    if data.ndim != 1:
-        raise ValueError(f"{path} is not mono (shape {data.shape})")
-    return np.asarray(data, dtype=np.float64), int(rate)
+    try:
+        with open(path, "rb") as handle:
+            buf = handle.read()
+    except FileNotFoundError:
+        raise MissingDataError(f"WAV file not found: {path}") from None
+
+    def bad(why: str) -> WavFormatError:
+        return WavFormatError(f"{path} is not a mono float32 WAV: {why}")
+
+    if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+        raise bad("no RIFF/WAVE header")
+    rate = None
+    offset = 12
+    while offset + 8 <= len(buf):
+        chunk_id, size = struct.unpack_from("<4sI", buf, offset)
+        offset += 8
+        if chunk_id == b"fmt ":
+            if size < _FMT_FIELDS.size or offset + size > len(buf):
+                raise bad(f"fmt chunk of {size} bytes")
+            tag, channels, rate, _, _, bits = _FMT_FIELDS.unpack_from(buf, offset)
+            if tag != _WAVE_FORMAT_IEEE_FLOAT:
+                raise bad(f"format tag {tag}, expected {_WAVE_FORMAT_IEEE_FLOAT} (IEEE float)")
+            if channels != 1:
+                raise bad(f"{channels} channels")
+            if bits != 32:
+                raise bad(f"{bits} bits per sample")
+        elif chunk_id == b"data":
+            if rate is None:
+                raise bad("data chunk before any fmt chunk")
+            if offset + size > len(buf):
+                raise bad(f"data chunk claims {size} bytes, file holds {len(buf) - offset}")
+            if size % 4:
+                raise bad(f"data chunk of {size} bytes is not whole 4-byte samples")
+            samples = np.frombuffer(buf, dtype="<f4", count=size // 4, offset=offset)
+            return samples.astype(np.float64), int(rate)
+        offset += size + (size & 1)
+    raise bad("no data chunk")
+
+
+@contextlib.contextmanager
+def _replacing(path: Path | str):
+    """A text handle on a sibling temp file that replaces ``path`` on success.
+
+    On any exception the temp file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.rirdist-tmp-{os.getpid()}")
+    try:
+        with open(tmp, "w") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_jsonl(path: Path | str, rows: list[dict]) -> None:
-    with open(path, "w") as handle:
+    with _replacing(path) as handle:
         for row in rows:
             handle.write(json.dumps(row) + "\n")
 
@@ -77,7 +162,7 @@ def read_jsonl(path: Path | str) -> list[dict]:
 
 
 def write_json(path: Path | str, payload: dict) -> None:
-    with open(path, "w") as handle:
+    with _replacing(path) as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 

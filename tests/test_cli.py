@@ -3,6 +3,8 @@ import json
 import os
 import shutil
 import socket
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -203,6 +205,26 @@ def test_regenerate_keeps_out_locked_through_the_swap(tmp_path, monkeypatch):
     owner = f"{os.getpid()} {socket.gethostname()}\n"
     assert removals[0] == (f".corpus.rirdist-old-{os.getpid()}", owner)
     assert not (out / dataio.LOCK_FILENAME).exists()
+
+
+def _dead_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()   # reaped: the pid names no process now
+    return child.pid
+
+
+def test_generate_removes_staging_dirs_of_killed_runs(tmp_path):
+    out = tmp_path / "corpus"
+    argv = ["generate", "--out", str(out), "--rooms", "1", "--n", "1"]
+    assert main(argv) == 0
+    dead, live = _dead_pid(), os.getppid()
+    kept = [f".corpus.rirdist-new-{live}", f".corpus.rirdist-old-{dead}",
+            f".other.rirdist-new-{dead}", ".corpus.rirdist-new-notapid"]
+    for name in kept + [f".corpus.rirdist-new-{dead}"]:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "room1_0000.wav").write_bytes(b"partial")
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(kept + ["corpus"])
 
 
 def test_generate_refuses_a_directory_that_is_not_a_corpus(tmp_path, capsys):
