@@ -14,9 +14,10 @@ expressions in the same order, so results are bit-equal.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +32,9 @@ ECHO_WINDOW_S = 0.005        # early reflection profile: ten 5 ms windows
 ECHO_N_WINDOWS = 10
 ECHO_PEAK_FRACTION = 0.1     # peaks must exceed this fraction of the direct sample
 EARLY_LATE_SPLIT_S = 0.050   # energy before/after 50 ms past the direct path
+EDC_GRID_STEP_S = 0.01       # decay curves are compared on a 10 ms grid ...
+EDC_GRID_POINTS = 100        # ... covering the first second
+_GRID_T = np.arange(EDC_GRID_POINTS) * EDC_GRID_STEP_S
 
 T60_FALLBACK_FLAG = "t60_fallback"
 DRR_CEILING_FLAG = "drr_ceiling"
@@ -147,6 +151,7 @@ class AcousticMetrics:
     echo_density: tuple[int, ...]
     total_energy_db: float
     early_late_ratio_db: float      # first 50 ms from the direct path vs the rest, in dB
+    edc_grid_db: np.ndarray = field(compare=False, repr=False)   # decay curve on the 10 ms grid
     flags: frozenset[str] = frozenset()
 
 
@@ -308,18 +313,27 @@ def early_reflection_profile(rir: RIRecording, direct_index: int) -> EchoDensity
     return EchoDensityProfile(counts=tuple(counts), truncated=truncated)
 
 
+@functools.lru_cache(maxsize=1)
+def _time_axis(n: int, sample_rate: int) -> np.ndarray:
+    """Sample times of an n-sample signal, shared by every call: never write to it.
+
+    Not flagged read-only, since ``np.interp`` copies a read-only ``xp`` every call."""
+    return np.arange(n) / float(sample_rate)
+
+
+def _edc_on_grid(values_db: np.ndarray, sample_rate: int) -> np.ndarray:
+    """Resample a per-sample decay curve onto the 10 ms grid of the first second."""
+    return np.interp(_GRID_T, _time_axis(values_db.size, sample_rate), values_db)
+
+
 def analyze_rir(rir: RIRecording) -> AcousticMetrics:
-    """All acoustic descriptors of one RIR in a single pass."""
-    return metrics_from_edc(rir, schroeder_edc(rir))
-
-
-def metrics_from_edc(rir: RIRecording, edc: EnergyDecayCurve) -> AcousticMetrics:
-    """All acoustic descriptors of one RIR, given its Schroeder decay curve.
+    """All acoustic descriptors of one RIR, from a single Schroeder decay curve.
 
     ``total_energy_db`` is the physical (pre-normalization) energy,
     i.e. it folds ``norm_gain`` back in, so it is invariant under
     amplitude normalization with honest gain bookkeeping.
     """
+    edc = schroeder_edc(rir)
     t60 = estimate_t60(edc, rir.sample_rate)
     direct_index = detect_direct_path(rir)
     drr = compute_drr(rir, direct_index)
@@ -352,5 +366,6 @@ def metrics_from_edc(rir: RIRecording, edc: EnergyDecayCurve) -> AcousticMetrics
         echo_density=echo.counts,
         total_energy_db=float(total_energy_db),
         early_late_ratio_db=early_late_ratio_db,
+        edc_grid_db=_edc_on_grid(edc.values_db, rir.sample_rate),
         flags=frozenset(flags),
     )

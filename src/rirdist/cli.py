@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .acoustics import RIRecording, analyze_rir, source_receiver_distance
+from .acoustics import AcousticMetrics, RIRecording, analyze_rir, source_receiver_distance
 from .dataio import (
     MissingDataError,
     OutputLockedError,
@@ -30,6 +31,7 @@ from .dataio import (
     read_wav,
     write_json,
     write_jsonl,
+    write_text,
     write_wav,
 )
 from .estimator import (
@@ -68,6 +70,9 @@ from .synth import (
 )
 
 
+_ROOM_ID = re.compile(r"[A-Za-z0-9_.-]+")
+
+
 def _derived_seed(*parts) -> int:
     entropy = [int.from_bytes(str(p).encode(), "little") for p in parts]
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
@@ -76,9 +81,12 @@ def _derived_seed(*parts) -> int:
 def _parse_rooms(selector: str) -> list[ShoeboxRoom]:
     """Room selection: 'A-B' range, comma list of ids, or a JSON profile file.
 
-    Ids must be distinct: a room's id names its WAVs, so a repeated id
-    would overwrite the first room's WAVs under rows that still list its
-    positions.
+    A profile file (a corpus's ``manifest.json`` is one) lists rooms in
+    the shape :func:`_room_profiles` writes. A room's id names its WAVs
+    and fills a CSV field, so a profile id must be an int or a non-empty
+    string of letters, digits, ``_``, ``.`` and ``-``. Ids must be
+    distinct: a repeated id would overwrite the first room's WAVs under
+    rows that still list its positions.
     """
     path = Path(selector)
     if path.is_file():
@@ -90,6 +98,10 @@ def _parse_rooms(selector: str) -> list[ShoeboxRoom]:
             raise ValueError(f"room-profile file {selector} lacks the key {exc}") from None
         if not rooms:
             raise ValueError(f"profile file {selector} lists no rooms")
+        for rid in (room.room_id for room in rooms):
+            if not (type(rid) is int or isinstance(rid, str) and _ROOM_ID.fullmatch(rid)):
+                raise ValueError(f"room-profile file {selector} has room id {rid!r}; an id "
+                                 f"is an int or a non-empty string of [A-Za-z0-9_.-]")
     else:
         if "-" in selector and "," not in selector:
             lo, hi = selector.split("-", 1)
@@ -108,6 +120,12 @@ def _parse_rooms(selector: str) -> list[ShoeboxRoom]:
     if repeated:
         raise ValueError(f"room ids must be distinct, got {', '.join(repeated)} more than once")
     return rooms
+
+
+def _room_profiles(rooms: list[ShoeboxRoom]) -> list[dict]:
+    """``rooms`` in the profile-file shape :func:`_parse_rooms` reads back."""
+    return [{"room_id": room.room_id, "dims": list(room.dims),
+             "absorption": float(room.absorption), "seed": int(room.seed)} for room in rooms]
 
 
 def _remove_dead_stages(out: Path) -> None:
@@ -167,7 +185,7 @@ def cmd_generate(args) -> int:
             write_json(stage / dataio.MANIFEST_NAME, {
                 "schema_version": dataio.SCHEMA_VERSION,
                 "seed": int(args.seed),
-                "rooms": [room.room_id for room in rooms],
+                "rooms": _room_profiles(rooms),
                 "n_per_room": int(args.n),
                 "count": len(metadata),
                 "sample_rate": config.sample_rate,
@@ -199,31 +217,45 @@ def _read_recording(directory: Path, row: dict) -> RIRecording:
                        room_id=row["room_id"], norm_gain=row["norm_gain"])
 
 
+def _descriptor_row(rir_id: str, metrics: AcousticMetrics | None, distance: float | None,
+                    error: str | None, **verdict) -> dict:
+    """One RIR's ``metrics.jsonl`` row, or with ``accepted`` and ``reasons`` as
+    ``verdict`` its ``decisions.jsonl`` row. Descriptors are None without
+    ``metrics``; ``error`` and the feature keys appear only when there are some."""
+    def value(convert, name):
+        return None if metrics is None else convert(getattr(metrics, name))
+
+    row = {
+        "rir_id": rir_id,
+        **verdict,
+        "t60_s": value(float, "t60_s"),
+        "drr_db": value(float, "drr_db"),
+        "distance_m": distance,
+        "direct_index": value(int, "direct_index"),
+        "measured_distance_m": value(float, "geometric_distance_m"),
+        "echo_density": value(list, "echo_density"),
+        "total_energy_db": value(float, "total_energy_db"),
+        "flags": value(sorted, "flags"),
+    }
+    if error is not None:
+        row["error"] = error
+    if metrics is not None:
+        _with_features(row, extract_features(metrics))
+    return row
+
+
 def cmd_analyze(args) -> int:
     directory = Path(args.in_dir)
     rows = []
-    n_failed = 0
     for meta in _corpus_rows(directory):
-        rir_id = meta["rir_id"]
         rir = _read_recording(directory, meta)
+        metrics, error = None, None
         try:
             metrics = analyze_rir(rir)
         except DESCRIPTOR_ERRORS as exc:
-            rows.append({"rir_id": rir_id, "error": f"{type(exc).__name__}: {exc}"})
-            n_failed += 1
-            continue
-        meta_dist = rir.metadata_distance()
-        rows.append({
-            "rir_id": rir_id,
-            "t60_s": float(metrics.t60_s),
-            "drr_db": float(metrics.drr_db),
-            "direct_index": int(metrics.direct_index),
-            "measured_distance_m": float(metrics.geometric_distance_m),
-            "metadata_distance_m": None if meta_dist is None else float(meta_dist),
-            "echo_density": list(metrics.echo_density),
-            "total_energy_db": float(metrics.total_energy_db),
-            "flags": sorted(metrics.flags),
-        })
+            error = f"{type(exc).__name__}: {exc}"
+        rows.append(_descriptor_row(meta["rir_id"], metrics, rir.metadata_distance(), error))
+    n_failed = sum("error" in row for row in rows)
     out_path = Path(args.out) if args.out else directory / dataio.METRICS_NAME
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with output_lock(out_path.parent):
@@ -267,19 +299,9 @@ def cmd_filter(args) -> int:
         accepted_distances = []
         discrepancies = []
         for meta, decision in zip(corpus, result.decisions):
-            row = {
-                "rir_id": meta["rir_id"],
-                "accepted": decision.accepted,
-                "reasons": decision.reason_names(),
-                "t60_s": None if decision.metrics is None else float(decision.metrics.t60_s),
-                "drr_db": None if decision.metrics is None else float(decision.metrics.drr_db),
-                "distance_m": None if decision.distance_m is None else float(decision.distance_m),
-            }
-            if decision.error is not None:
-                row["error"] = decision.error
-            if decision.metrics is not None:
-                _with_features(row, extract_features(decision.metrics))
-            rows.append(row)
+            rows.append(_descriptor_row(meta["rir_id"], decision.metrics, decision.distance_m,
+                                        decision.error, accepted=decision.accepted,
+                                        reasons=decision.reason_names()))
             if decision.accepted:
                 accepted_distances.append(decision.distance_m)
             if decision.metrics is not None and decision.distance_m is not None:
@@ -431,17 +453,17 @@ def cmd_eval(args) -> int:
         raise ValueError(f"dataset {args.dataset} is empty")
 
     report = evaluate(model, [(fv, dist) for _, fv, dist in rows])
+    per_sample = ["rir_id,true_m,predicted_m,residual_m\n"]
+    for (rir_id, _, _), truth, pred in zip(rows, report.true_m, report.predicted_m):
+        t, p = float(truth), float(pred)
+        per_sample.append(f"{rir_id},{t!r},{p!r},{p - t!r}\n")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with output_lock(out):
+        write_text(out / dataio.PER_SAMPLE_NAME, "".join(per_sample))
         eval_payload = {"schema_version": dataio.SCHEMA_VERSION}
         eval_payload.update(report.to_json_dict())
-        write_json(out / dataio.EVAL_NAME, eval_payload)
-        with open(out / dataio.PER_SAMPLE_NAME, "w") as handle:
-            handle.write("rir_id,true_m,predicted_m,residual_m\n")
-            for (rir_id, _, _), truth, pred in zip(rows, report.true_m, report.predicted_m):
-                t, p = float(truth), float(pred)
-                handle.write(f"{rir_id},{t!r},{p!r},{p - t!r}\n")
+        write_json(out / dataio.EVAL_NAME, eval_payload)   # last: marks a complete eval
     print(f"evaluated {report.n_samples} samples, MAE {report.mae_m:.4f} m -> {out}")
     return 0
 
@@ -506,37 +528,49 @@ def _render_scatter_svg(points: list[tuple[float, float]]) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _read_scatter_points(source: Path) -> list[tuple[float, float]]:
+    """(true, predicted) pairs of a ``per_sample.csv``."""
+    if not source.exists():
+        raise MissingDataError(f"per-sample CSV not found for scatter: {source}")
+    points = []
+    with open(source) as handle:
+        next(handle)
+        for line in handle:
+            try:
+                _, truth, pred, _ = line.rstrip("\n").split(",")
+                points.append((float(truth), float(pred)))
+            except ValueError:
+                raise ValueError(f"{source}: malformed per-sample row {line!r}") from None
+    return points
+
+
 def cmd_report(args) -> int:
     payload = read_json(args.eval)
     check_schema(payload, f"eval report {args.eval}")
+    # every file is rendered before any is written, so a failure leaves --out as it was
+    files = {"report.txt": _render_report_text(payload)}
+    lines = ["lo_m,hi_m,n,mae_m\n"]
+    for bucket in payload["per_range"]:
+        hi = "" if bucket["hi_m"] is None else f"{bucket['hi_m']!r}"
+        mae = "" if bucket["mae_m"] is None else f"{bucket['mae_m']!r}"
+        lines.append(f"{bucket['lo_m']!r},{hi},{bucket['n']},{mae}\n")
+    files["per_range.csv"] = "".join(lines)
+    hist = payload["histogram"]
+    width = hist["bin_width_m"]
+    lines = ["bin_lo_m,bin_hi_m,truth_count,predicted_count\n"]
+    for i, (t, p) in enumerate(zip(hist["truth_counts"], hist["predicted_counts"])):
+        lines.append(f"{i * width!r},{(i + 1) * width!r},{t},{p}\n")
+    files["histogram.csv"] = "".join(lines)
+    if args.svg:
+        source = Path(args.per_sample) if args.per_sample else (
+            Path(args.eval).parent / dataio.PER_SAMPLE_NAME)
+        files["scatter.svg"] = _render_scatter_svg(_read_scatter_points(source))
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with output_lock(out):
-        (out / "report.txt").write_text(_render_report_text(payload))
-        with open(out / "per_range.csv", "w") as handle:
-            handle.write("lo_m,hi_m,n,mae_m\n")
-            for bucket in payload["per_range"]:
-                hi = "" if bucket["hi_m"] is None else f"{bucket['hi_m']!r}"
-                mae = "" if bucket["mae_m"] is None else f"{bucket['mae_m']!r}"
-                handle.write(f"{bucket['lo_m']!r},{hi},{bucket['n']},{mae}\n")
-        hist = payload["histogram"]
-        with open(out / "histogram.csv", "w") as handle:
-            handle.write("bin_lo_m,bin_hi_m,truth_count,predicted_count\n")
-            width = hist["bin_width_m"]
-            for i, (t, p) in enumerate(zip(hist["truth_counts"], hist["predicted_counts"])):
-                handle.write(f"{i * width!r},{(i + 1) * width!r},{t},{p}\n")
-        if args.svg:
-            source = Path(args.per_sample) if args.per_sample else (
-                Path(args.eval).parent / dataio.PER_SAMPLE_NAME)
-            if not source.exists():
-                raise MissingDataError(f"per-sample CSV not found for scatter: {source}")
-            points = []
-            with open(source) as handle:
-                next(handle)
-                for line in handle:
-                    _, truth, pred, _ = line.rstrip("\n").split(",")
-                    points.append((float(truth), float(pred)))
-            (out / "scatter.svg").write_text(_render_scatter_svg(points))
+        for name, text in files.items():
+            write_text(out / name, text)
     print(f"report rendered -> {out}")
     return 0
 

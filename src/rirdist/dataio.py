@@ -2,8 +2,8 @@
 
 RIRs travel as mono 32-bit float WAV at 32 kHz; everything else is JSON
 or JSON-lines. Writers are deterministic byte-for-byte for identical
-inputs: fixed key order, repr-roundtrip floats, no timestamps. JSON and
-JSON-lines files are written to a sibling temp file and renamed into
+inputs: fixed key order, repr-roundtrip floats, no timestamps. Every
+file but a WAV is written to a sibling temp file and renamed into
 place, so a reader sees the old file or the new one, never a part.
 """
 
@@ -140,6 +140,11 @@ def _replacing(path: Path | str):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path: Path | str, text: str) -> None:
+    with _replacing(path) as handle:
+        handle.write(text)
 
 
 def write_jsonl(path: Path | str, rows: list[dict]) -> None:

@@ -10,25 +10,20 @@ rejection lists all applicable reasons, never just the first.
 from __future__ import annotations
 
 import enum
-import functools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .acoustics import (
+    _GRID_T,
     AcousticMetrics,
     InsufficientDecayError,
     NonFiniteSignalError,
     RIRecording,
     ZeroEnergyError,
-    metrics_from_edc,
-    schroeder_edc,
+    analyze_rir,
 )
-
-EDC_GRID_STEP_S = 0.01    # reference decay curves live on a 10 ms grid ...
-EDC_GRID_POINTS = 100     # ... covering the first second
-_GRID_T = np.arange(EDC_GRID_POINTS) * EDC_GRID_STEP_S
 
 # what a degenerate RIR raises from the descriptor pass: it fails that RIR, not the run
 DESCRIPTOR_ERRORS = (ZeroEnergyError, InsufficientDecayError, NonFiniteSignalError)
@@ -99,25 +94,6 @@ class FilterBatchResult:
     yield_fraction: float | None = None      # None for an empty batch
 
 
-@functools.lru_cache(maxsize=1)
-def _time_axis(n: int, sample_rate: int) -> np.ndarray:
-    """Sample times of an n-sample signal, shared read-only by every call."""
-    t = np.arange(n) / float(sample_rate)
-    t.flags.writeable = False
-    return t
-
-
-def _edc_on_grid(values_db: np.ndarray, sample_rate: int) -> np.ndarray:
-    """Resample a per-sample decay curve onto the 10 ms reference grid."""
-    return np.interp(_GRID_T, _time_axis(values_db.size, sample_rate), values_db)
-
-
-def _descriptors(rir: RIRecording) -> tuple[AcousticMetrics, np.ndarray]:
-    """Metrics and 10 ms decay grid of one RIR, from a single decay curve."""
-    edc = schroeder_edc(rir)
-    return metrics_from_edc(rir, edc), _edc_on_grid(edc.values_db, rir.sample_rate)
-
-
 def build_reference_profile(enrollment: Sequence[RIRecording]) -> ReferenceProfile:
     """Median T60 / decay curve / echo profile over an enrollment set.
 
@@ -129,11 +105,11 @@ def build_reference_profile(enrollment: Sequence[RIRecording]) -> ReferenceProfi
     if len(room_ids) != 1:
         raise ValueError(f"enrollment mixes room ids {sorted(map(str, room_ids))}")
 
-    metrics, grids = zip(*(_descriptors(rir) for rir in enrollment))
+    metrics = [analyze_rir(rir) for rir in enrollment]
     return ReferenceProfile(
         room_id=enrollment[0].room_id,
         median_t60_s=float(np.median([m.t60_s for m in metrics])),
-        median_edc_db=np.median(np.stack(grids), axis=0),
+        median_edc_db=np.median(np.stack([m.edc_grid_db for m in metrics]), axis=0),
         echo_density_ref=np.median(np.asarray([m.echo_density for m in metrics],
                                               dtype=np.float64), axis=0),
         n_enrollment=len(enrollment),
@@ -151,7 +127,7 @@ def apply_quality_filter(rir: RIRecording, profile: ReferenceProfile,
     """
     distance = rir.metadata_distance()
     try:
-        metrics, grid = _descriptors(rir)
+        metrics = analyze_rir(rir)
     except DESCRIPTOR_ERRORS as exc:
         return FilterDecision(
             accepted=False, reasons=frozenset(), metrics=None,
@@ -176,7 +152,7 @@ def apply_quality_filter(rir: RIRecording, profile: ReferenceProfile,
         reasons.add(FilterReason.DISTANCE_TOO_FAR)
 
     n_compare = max(1, int(np.count_nonzero(_GRID_T <= median)))
-    deviation = grid[:n_compare] - profile.median_edc_db[:n_compare]
+    deviation = metrics.edc_grid_db[:n_compare] - profile.median_edc_db[:n_compare]
     if float(np.sqrt(np.mean(deviation ** 2))) > criteria.edc_max_rms_dev_db:
         reasons.add(FilterReason.EDC_SHAPE_MISMATCH)
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import rirdist
-from rirdist import filtering
+from rirdist import acoustics
 from rirdist.acoustics import (
     DB_FLOOR,
     DIRECT_PEAK_FRACTION,
@@ -20,6 +21,8 @@ from rirdist.acoustics import (
     ECHO_PEAK_FRACTION,
     ECHO_TRUNCATED_FLAG,
     ECHO_WINDOW_S,
+    EDC_GRID_POINTS,
+    EDC_GRID_STEP_S,
     T60_FALLBACK_FLAG,
     EchoDensityProfile,
     EnergyDecayCurve,
@@ -37,7 +40,6 @@ from rirdist.acoustics import (
     schroeder_edc,
 )
 from rirdist.acoustics import _MIN_FIT_POINTS, _T10_SPAN_DB, _T20_SPAN_DB
-from rirdist.filtering import EDC_GRID_POINTS, EDC_GRID_STEP_S
 from rirdist.synth import normalize_rir
 
 from helpers import (
@@ -586,7 +588,7 @@ def _assert_kernels_match_reference(rir, direct_indices=()):
         curve = schroeder_edc(rir)
         assert _outcome(estimate_t60, curve, rir.sample_rate) \
             == _outcome(_reference_t60, curve, rir.sample_rate)
-        assert _outcome(filtering._edc_on_grid, curve.values_db, rir.sample_rate) \
+        assert _outcome(acoustics._edc_on_grid, curve.values_db, rir.sample_rate) \
             == _outcome(_reference_edc_on_grid, curve.values_db, rir.sample_rate)
     direct = _outcome(detect_direct_path, rir)
     assert direct == _outcome(_reference_direct_path, rir)
@@ -645,15 +647,26 @@ def test_time_axis_cache_follows_length_and_rate():
     for n, rate in [(32000, 32000), (500, 32000), (32000, 16000), (32000, 32000)]:
         rir = RIRecording(samples=exp_envelope_rir(0.05, seed=n).samples[:n], sample_rate=rate)
         values = schroeder_edc(rir).values_db
-        assert filtering._edc_on_grid(values, rate).tobytes() \
+        assert acoustics._edc_on_grid(values, rate).tobytes() \
             == _reference_edc_on_grid(values, rate).tobytes()
+
+
+def test_edc_grid_copies_no_full_length_array():
+    values = schroeder_edc(exp_envelope_rir(0.1, seed=3)).values_db
+    acoustics._edc_on_grid(values, SAMPLE_RATE)          # builds the cached time axis
+    tracemalloc.start()
+    try:
+        acoustics._edc_on_grid(values, SAMPLE_RATE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes / 4
 
 
 def test_edc_leaves_its_input_untouched():
     rir = exp_envelope_rir(0.1, seed=13)
     before = rir.samples.copy()
     analyze_rir(rir)
-    filtering._descriptors(rir)
     assert rir.samples.tobytes() == before.tobytes()
 
 
@@ -662,7 +675,7 @@ def test_edc_leaves_its_input_untouched():
 _FAULT_PROBE = """
 import resource, sys
 import numpy as np
-from rirdist import filtering, synth
+from rirdist import synth
 from rirdist.acoustics import RIRecording, analyze_rir
 if sys.argv[1] == "generate":
     room = synth.builtin_room(1)
@@ -673,9 +686,8 @@ else:
     t = np.arange(32000) / 32000
     rirs = [RIRecording(samples=np.random.default_rng(seed).standard_normal(t.size) * np.exp(-t / 0.1))
             for seed in range(4)]
-    descriptors = {"analyze_rir": analyze_rir, "filter_descriptors": filtering._descriptors}[sys.argv[1]]
     def kernel(i):
-        return descriptors(rirs[i % 4])
+        return analyze_rir(rirs[i % 4])
 kernel(0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for i in range(200):
@@ -686,7 +698,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="minor-fault counts are only meaningful on Linux")
-@pytest.mark.parametrize("kernel", ["analyze_rir", "filter_descriptors", "generate"])
+@pytest.mark.parametrize("kernel", ["analyze_rir", "generate"])
 def test_descriptor_pass_does_not_fault_per_rir(kernel):
     """Per-RIR temporaries are reused, not mapped afresh for every RIR.
 

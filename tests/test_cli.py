@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -11,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rirdist import acoustics, cli, dataio, filtering
+from rirdist import acoustics, cli, dataio
 from rirdist.acoustics import analyze_rir
 from rirdist.cli import main
 from rirdist.estimator import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, extract_features
-from rirdist.synth import SynthesisConfig
+from rirdist.synth import SynthesisConfig, builtin_room
 
 from helpers import GOLDEN_EXPECTED, GOLDEN_ROOM_ID, golden_corpus, golden_enrollment
 
@@ -127,7 +128,9 @@ def test_generate_writes_complete_corpus(tmp_path):
                  "--n", "3", "--seed", "11"]) == 0
     manifest = dataio.read_json(out / dataio.MANIFEST_NAME)
     assert manifest["count"] == 6
-    assert manifest["rooms"] == [1, 2]
+    assert manifest["rooms"] == [
+        {"room_id": rid, "dims": list(builtin_room(rid).dims),
+         "absorption": builtin_room(rid).absorption, "seed": rid} for rid in (1, 2)]
     rows = dataio.read_jsonl(out / dataio.METADATA_NAME)
     assert [row["rir_id"] for row in rows[:3]] \
         == ["room1_0000", "room1_0001", "room1_0002"]
@@ -278,6 +281,8 @@ def test_generate_refuses_repeated_room_ids(tmp_path, capsys, rooms):
 @pytest.mark.parametrize("profile, key", [
     ({"room": []}, "rooms"),
     ({"rooms": [{"room_id": "lab", "absorption": 0.3}]}, "dims"),
+    ({"rooms": [{"room_id": "lab,2", "dims": [5.0, 4.0, 3.0], "absorption": 0.3}]}, "lab,2"),
+    ({"rooms": [{"room_id": "a/b", "dims": [5.0, 4.0, 3.0], "absorption": 0.3}]}, "a/b"),
 ])
 def test_generate_refuses_a_malformed_room_profile(tmp_path, capsys, profile, key):
     rooms = tmp_path / "rooms.json"
@@ -309,6 +314,37 @@ def test_generate_accepts_room_profile_file(tmp_path):
     assert (out / "roomlab_0000.wav").exists()
 
 
+def test_manifest_fingerprints_the_room_parameters(tmp_path):
+    """Two rooms that share an id and a seed but differ in size and absorption
+    make different WAVs, so their manifests must differ too."""
+    manifests = []
+    for name, dims, absorption in [("small", [5.0, 4.0, 3.0], 0.3),
+                                   ("large", [7.0, 5.0, 3.5], 0.5)]:
+        profile = tmp_path / f"{name}.json"
+        profile.write_text(json.dumps({"rooms": [
+            {"room_id": "lab", "dims": dims, "absorption": absorption, "seed": 4}]}))
+        out = tmp_path / name
+        assert main(["generate", "--out", str(out), "--rooms", str(profile), "--n", "2"]) == 0
+        manifests.append(hashlib.sha256((out / dataio.MANIFEST_NAME).read_bytes()).hexdigest())
+    assert manifests[0] != manifests[1]
+
+
+def test_a_manifest_is_a_room_profile_file(tmp_path):
+    """``--rooms <corpus>/manifest.json`` regenerates the corpus byte for byte."""
+    profile = tmp_path / "rooms.json"
+    profile.write_text(json.dumps({"rooms": [
+        {"room_id": "lab", "dims": [5.0, 4.0, 3.0], "absorption": 0.3, "seed": 4}]}))
+    for rooms in ("2,5", str(profile)):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["generate", "--out", str(first), "--rooms", rooms,
+                     "--n", "2", "--seed", "9"]) == 0
+        assert main(["generate", "--out", str(again), "--rooms",
+                     str(first / dataio.MANIFEST_NAME), "--n", "2", "--seed", "9"]) == 0
+        assert _snapshot(again) == _snapshot(first)
+        shutil.rmtree(first)
+        shutil.rmtree(again)
+
+
 # ------------------------------------------------------------------- analyze
 
 def test_analyze_emits_one_row_per_rir(tmp_path):
@@ -321,10 +357,10 @@ def test_analyze_emits_one_row_per_rir(tmp_path):
     for row in rows:
         assert row["t60_s"] > 0.0
         assert row["direct_index"] >= 0
-        assert row["metadata_distance_m"] > 0.0
+        assert row["distance_m"] > 0.0
         assert len(row["echo_density"]) == 10
         assert row["flags"] == sorted(row["flags"])
-        assert abs(row["measured_distance_m"] - row["metadata_distance_m"]) < 0.05
+        assert abs(row["measured_distance_m"] - row["distance_m"]) < 0.05
 
 
 def test_analyze_records_bad_rows_without_failing_the_run(tmp_path):
@@ -470,6 +506,25 @@ def test_decisions_carry_each_rirs_features(pipeline_dirs):
             == [float(value).hex() for value in recomputed]
 
 
+def test_metrics_rows_are_decision_rows_without_the_verdict(golden_dirs, tmp_path):
+    """analyze and filter write one row format: a decisions row is the metrics
+    row with ``accepted`` and ``reasons`` after ``rir_id``."""
+    corpus, enroll = golden_dirs
+    first = dataio.read_jsonl(corpus / dataio.METADATA_NAME)[0]["rir_id"]
+    dataio.write_wav(corpus / f"{first}.wav", np.zeros(32000), 32000)   # an error row
+    metrics_path = tmp_path / "metrics.jsonl"
+    assert main(["analyze", "--in", str(corpus), "--out", str(metrics_path)]) == 0
+    assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll)]) == 0
+    metrics = dataio.read_jsonl(metrics_path)
+    decisions = dataio.read_jsonl(corpus / dataio.DECISIONS_NAME)
+    assert len(metrics) == len(decisions)
+    assert "error" in metrics[0] and metrics[0]["t60_s"] is None
+    for described, decided in zip(metrics, decisions):
+        assert list(decided)[:3] == ["rir_id", "accepted", "reasons"]
+        assert list(decided)[3:] == list(described)[1:]
+        assert {key: decided[key] for key in described} == described
+
+
 # ------------------------------------------------------------ train and eval
 
 def test_pipeline_train_outputs(pipeline_dirs):
@@ -524,6 +579,28 @@ def test_pipeline_eval_and_report(pipeline_dirs, tmp_path):
     assert (report_dir / "scatter.svg").read_text().startswith("<svg")
 
 
+def test_failed_report_leaves_its_output_directory_as_it_was(pipeline_dirs, tmp_path, capsys):
+    _, _, model_dir = pipeline_dirs
+    eval_dir, report_dir = tmp_path / "eval", tmp_path / "report"
+    assert main(["eval", "--model", str(model_dir / dataio.MODEL_NAME),
+                 "--dataset", str(model_dir / dataio.HOLDOUT_NAME),
+                 "--out", str(eval_dir)]) == 0
+    report_dir.mkdir()
+    for name in ("report.txt", "per_range.csv", "histogram.csv", "scatter.svg"):
+        (report_dir / name).write_text(f"an earlier {name}\n")
+    before = _snapshot(report_dir)
+    report_argv = ["report", "--eval", str(eval_dir / dataio.EVAL_NAME), "--svg", "--out"]
+    per_sample = eval_dir / dataio.PER_SAMPLE_NAME
+    with open(per_sample, "a") as handle:
+        handle.write("roomlab,2_0000,1.0,2.0,1.0\n")   # an id with a comma in it
+    capsys.readouterr()
+    assert main(report_argv + [str(report_dir)]) == 2
+    assert str(per_sample) in capsys.readouterr().err
+    assert _snapshot(report_dir) == before
+    assert main(report_argv + [str(tmp_path / "fresh")]) == 2
+    assert not (tmp_path / "fresh").exists()
+
+
 def test_report_text_names_the_payload_bin_width():
     payload = {"n_samples": 1, "mae_m": 0.0, "pearson_r": None, "per_range": [],
                "histogram": {"bin_width_m": 0.25, "truth_counts": [1],
@@ -552,7 +629,7 @@ def test_filter_and_train_do_one_descriptor_pass_per_rir(pipeline_dirs, tmp_path
     corpus, enroll, _ = pipeline_dirs
     n_corpus = len(dataio.read_jsonl(corpus / dataio.METADATA_NAME))
     n_enroll = len(dataio.read_jsonl(enroll / dataio.METADATA_NAME))
-    edc_calls = _count_calls(monkeypatch, "schroeder_edc", acoustics, filtering)
+    edc_calls = _count_calls(monkeypatch, "schroeder_edc", acoustics)
     screened = tmp_path / "screened"
     assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll),
                  "--out", str(screened)]) == 0

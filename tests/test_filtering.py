@@ -3,9 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rirdist.acoustics import RIRecording, analyze_rir
+from rirdist.acoustics import EDC_GRID_POINTS, RIRecording, analyze_rir
 from rirdist.filtering import (
-    EDC_GRID_POINTS,
     FilterCriteria,
     FilterReason,
     MissingProfileError,
