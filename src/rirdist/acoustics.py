@@ -57,6 +57,10 @@ class NonFiniteSignalError(ValueError):
     """Raised when a signal's energy is not finite (NaN, inf, or overflowing samples)."""
 
 
+# what a degenerate RIR raises from the descriptor pass: it fails that RIR, not the run
+DESCRIPTOR_ERRORS = (ZeroEnergyError, InsufficientDecayError, NonFiniteSignalError)
+
+
 @dataclass(frozen=True)
 class RIRecording:
     """A sampled room impulse response plus its scene metadata.

@@ -10,21 +10,31 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import re
 import shutil
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio
-from .acoustics import AcousticMetrics, RIRecording, analyze_rir, source_receiver_distance
+from .acoustics import (
+    DESCRIPTOR_ERRORS,
+    EDC_GRID_POINTS,
+    AcousticMetrics,
+    RIRecording,
+    analyze_rir,
+    source_receiver_distance,
+)
 from .dataio import (
     MissingDataError,
     OutputLockedError,
     SchemaMismatchError,
     check_schema,
+    iter_jsonl,
     output_lock,
     read_json,
     read_jsonl,
@@ -50,7 +60,6 @@ from .estimator import (
     train,
 )
 from .filtering import (
-    DESCRIPTOR_ERRORS,
     FilterCriteria,
     FilterReason,
     MissingProfileError,
@@ -91,17 +100,12 @@ def _parse_rooms(selector: str) -> list[ShoeboxRoom]:
     path = Path(selector)
     if path.is_file():
         try:
-            rooms = [ShoeboxRoom(dims=tuple(entry["dims"]), absorption=entry["absorption"],
-                                 room_id=entry["room_id"], seed=entry.get("seed", 0))
-                     for entry in read_json(path)["rooms"]]
+            entries = read_json(path)["rooms"]
+            rooms = [_profile_room(entry, selector) for entry in entries]
         except KeyError as exc:
             raise ValueError(f"room-profile file {selector} lacks the key {exc}") from None
         if not rooms:
             raise ValueError(f"profile file {selector} lists no rooms")
-        for rid in (room.room_id for room in rooms):
-            if not (type(rid) is int or isinstance(rid, str) and _ROOM_ID.fullmatch(rid)):
-                raise ValueError(f"room-profile file {selector} has room id {rid!r}; an id "
-                                 f"is an int or a non-empty string of [A-Za-z0-9_.-]")
     else:
         if "-" in selector and "," not in selector:
             lo, hi = selector.split("-", 1)
@@ -122,6 +126,30 @@ def _parse_rooms(selector: str) -> list[ShoeboxRoom]:
     return rooms
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _profile_room(entry: dict, selector: str) -> ShoeboxRoom:
+    """One room of a profile file, its values checked before they are used."""
+    rid, dims, absorption = entry["room_id"], entry["dims"], entry["absorption"]
+    seed = entry.get("seed", 0)
+    if not (type(rid) is int or isinstance(rid, str) and _ROOM_ID.fullmatch(rid)):
+        raise ValueError(f"room-profile file {selector} has room id {rid!r}; an id "
+                         f"is an int or a non-empty string of [A-Za-z0-9_.-]")
+    where = f"room-profile file {selector}, room {rid!r}"
+    if not (isinstance(dims, list) and len(dims) == 3 and all(map(_is_real, dims))):
+        raise ValueError(f"{where}: dims must be three numbers, got {dims!r}")
+    if not _is_real(absorption):
+        raise ValueError(f"{where}: absorption must be a number, got {absorption!r}")
+    if type(seed) is not int or seed < 0:   # a bool is not an int here
+        raise ValueError(f"{where}: seed must be a non-negative integer, got {seed!r}")
+    try:
+        return ShoeboxRoom(dims=tuple(dims), absorption=absorption, room_id=rid, seed=seed)
+    except GeometryError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _room_profiles(rooms: list[ShoeboxRoom]) -> list[dict]:
     """``rooms`` in the profile-file shape :func:`_parse_rooms` reads back."""
     return [{"room_id": room.room_id, "dims": list(room.dims),
@@ -140,12 +168,8 @@ def _remove_dead_stages(out: Path) -> None:
         pid = entry.name[len(prefix):]
         if not (entry.name.startswith(prefix) and pid.isdecimal()):
             continue
-        try:
-            os.kill(int(pid), 0)
-        except ProcessLookupError:
+        if dataio.pid_is_dead(int(pid)):
             shutil.rmtree(entry, ignore_errors=True)
-        except (OSError, OverflowError):   # alive under another user, or no pid at all
-            pass
 
 
 def cmd_generate(args) -> int:
@@ -202,11 +226,12 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _corpus_rows(directory: Path) -> list[dict]:
-    """Metadata rows of a complete corpus; the manifest must be present and current."""
+def _corpus_rows(directory: Path) -> Iterator[dict]:
+    """Metadata rows of a complete corpus, read one at a time; the manifest
+    must be present and current."""
     manifest = read_json(directory / dataio.MANIFEST_NAME)
     check_schema(manifest, f"manifest in {directory}")
-    return read_jsonl(directory / dataio.METADATA_NAME)
+    return iter_jsonl(directory / dataio.METADATA_NAME)
 
 
 def _read_recording(directory: Path, row: dict) -> RIRecording:
@@ -217,17 +242,16 @@ def _read_recording(directory: Path, row: dict) -> RIRecording:
                        room_id=row["room_id"], norm_gain=row["norm_gain"])
 
 
-def _descriptor_row(rir_id: str, metrics: AcousticMetrics | None, distance: float | None,
-                    error: str | None, **verdict) -> dict:
-    """One RIR's ``metrics.jsonl`` row, or with ``accepted`` and ``reasons`` as
-    ``verdict`` its ``decisions.jsonl`` row. Descriptors are None without
-    ``metrics``; ``error`` and the feature keys appear only when there are some."""
+def _metrics_row(rir_id: str, metrics: AcousticMetrics | None, distance: float | None,
+                 error: str | None) -> dict:
+    """One RIR's ``metrics.jsonl`` row. Descriptors are None without ``metrics``;
+    ``error`` and the feature keys appear only when there are some. The decay
+    grid ``edc_grid_db`` comes last, so ``filter`` drops it from its rows."""
     def value(convert, name):
         return None if metrics is None else convert(getattr(metrics, name))
 
     row = {
         "rir_id": rir_id,
-        **verdict,
         "t60_s": value(float, "t60_s"),
         "drr_db": value(float, "drr_db"),
         "distance_m": distance,
@@ -241,27 +265,67 @@ def _descriptor_row(rir_id: str, metrics: AcousticMetrics | None, distance: floa
         row["error"] = error
     if metrics is not None:
         _with_features(row, extract_features(metrics))
+    row["edc_grid_db"] = None if metrics is None else metrics.edc_grid_db.tolist()
     return row
 
 
 def cmd_analyze(args) -> int:
     directory = Path(args.in_dir)
-    rows = []
-    for meta in _corpus_rows(directory):
-        rir = _read_recording(directory, meta)
-        metrics, error = None, None
-        try:
-            metrics = analyze_rir(rir)
-        except DESCRIPTOR_ERRORS as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        rows.append(_descriptor_row(meta["rir_id"], metrics, rir.metadata_distance(), error))
-    n_failed = sum("error" in row for row in rows)
+    corpus = _corpus_rows(directory)
     out_path = Path(args.out) if args.out else directory / dataio.METRICS_NAME
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    n_rows = n_failed = 0
+
+    def rows():
+        nonlocal n_rows, n_failed
+        for meta in corpus:
+            n_rows += 1
+            rir = _read_recording(directory, meta)
+            metrics, error = None, None
+            try:
+                metrics = analyze_rir(rir)
+            except DESCRIPTOR_ERRORS as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                n_failed += 1
+            yield _metrics_row(meta["rir_id"], metrics, rir.metadata_distance(), error)
+
     with output_lock(out_path.parent):
-        write_jsonl(out_path, rows)
-    print(f"analyzed {len(rows)} RIRs ({n_failed} failed) -> {out_path}")
-    return 1 if rows and n_failed == len(rows) else 0
+        write_jsonl(out_path, rows())
+    print(f"analyzed {n_rows} RIRs ({n_failed} failed) -> {out_path}")
+    return 1 if n_rows and n_failed == n_rows else 0
+
+
+def _checked_metrics_rows(path: Path, corpus: Iterable[dict]) -> Iterator[tuple]:
+    """(room_id, row) of each ``metrics.jsonl`` row, read one at a time.
+
+    The rows must be the corpus's RIRs in corpus order, at the metadata
+    distances, each with its decay grid; anything else is a metrics file
+    of another corpus or of an older ``analyze``.
+    """
+    def mismatch(why: str) -> SchemaMismatchError:
+        return SchemaMismatchError(f"{path} does not describe the corpus beside it: {why}; "
+                                   f"re-run rirdist analyze --in {path.parent}")
+
+    rows = iter_jsonl(path)
+    n_corpus = 0
+    for meta in corpus:
+        n_corpus += 1
+        row = next(rows, None)
+        if row is None:
+            raise mismatch(f"it ends before {meta['rir_id']}")
+        if row.get("rir_id") != meta["rir_id"]:
+            raise mismatch(f"row {row.get('rir_id')!r} where the corpus has {meta['rir_id']}")
+        expected = source_receiver_distance(meta["source_pos"], meta["receiver_pos"])
+        if row.get("distance_m") != expected:   # same floats on both sides when it matches
+            raise mismatch(f"{meta['rir_id']} is at {row.get('distance_m')!r} m there "
+                           f"and at {expected!r} m in the metadata")
+        grid = row.get("edc_grid_db", ())   # null only on an error row
+        if not (isinstance(grid, list) and len(grid) == EDC_GRID_POINTS
+                or grid is None and "error" in row):
+            raise mismatch(f"{meta['rir_id']} has no {EDC_GRID_POINTS}-point edc_grid_db")
+        yield meta["room_id"], row
+    if next(rows, None) is not None:
+        raise mismatch(f"it has rows past the corpus's {n_corpus} RIRs")
 
 
 def cmd_filter(args) -> int:
@@ -274,41 +338,52 @@ def cmd_filter(args) -> int:
         echo_max_rel_dev=args.echo_dev,
     )
     corpus_dir, enroll_dir = Path(args.in_dir), Path(args.enrollment)
-    corpus = _corpus_rows(corpus_dir)
+    room_ids = dict.fromkeys(row["room_id"] for row in _corpus_rows(corpus_dir))
+    metrics_path = corpus_dir / dataio.METRICS_NAME
+    if not metrics_path.is_file():
+        raise MissingDataError(f"{metrics_path} not found: filter screens the rows analyze "
+                               f"writes; run rirdist analyze --in {corpus_dir} first")
     enrollment: dict = {}
     for row in _corpus_rows(enroll_dir):
         enrollment.setdefault(row["room_id"], []).append(row)
     profiles = {}
-    for room_id in dict.fromkeys(row["room_id"] for row in corpus):
+    for room_id in room_ids:
         group = enrollment.get(room_id, [])
         if len(group) < 2:
             raise MissingDataError(
                 f"enrollment provides {len(group)} RIR(s) for room {room_id!r}, need >= 2"
             )
         profiles[room_id] = build_reference_profile(
-            [_read_recording(enroll_dir, row) for row in group])
-
-    # one RIR decoded at a time; only its decision is kept
-    result = filter_batch((_read_recording(corpus_dir, row) for row in corpus),
-                          profiles, criteria)
+            _read_recording(enroll_dir, row) for row in group)
 
     out = Path(args.out) if args.out else corpus_dir
     out.mkdir(parents=True, exist_ok=True)
-    with output_lock(out):
-        rows = []
-        accepted_distances = []
-        discrepancies = []
-        for meta, decision in zip(corpus, result.decisions):
-            rows.append(_descriptor_row(meta["rir_id"], decision.metrics, decision.distance_m,
-                                        decision.error, accepted=decision.accepted,
-                                        reasons=decision.reason_names()))
-            if decision.accepted:
-                accepted_distances.append(decision.distance_m)
-            if decision.metrics is not None and decision.distance_m is not None:
-                discrepancies.append(abs(decision.metrics.geometric_distance_m
-                                         - decision.distance_m))
-        write_jsonl(out / dataio.DECISIONS_NAME, rows)
+    n_input = 0
+    reason_counts = dict.fromkeys(FilterReason, 0)
+    accepted_distances = []
+    discrepancies = []
 
+    def decision_rows():
+        """Each decisions row as the screen decides it: only the counts above are kept."""
+        nonlocal n_input
+        # filter_batch yields decisions only; tee hands this loop each row beside its decision
+        checked, screened = itertools.tee(
+            _checked_metrics_rows(metrics_path, _corpus_rows(corpus_dir)))
+        for (_, row), decision in zip(checked, filter_batch(screened, profiles, criteria)):
+            n_input += 1
+            for reason in decision.reasons:
+                reason_counts[reason] += 1
+            if decision.accepted:
+                accepted_distances.append(row["distance_m"])
+            if row["measured_distance_m"] is not None:
+                discrepancies.append(abs(row["measured_distance_m"] - row["distance_m"]))
+            del row["edc_grid_db"]
+            yield {"rir_id": row.pop("rir_id"), "accepted": decision.accepted,
+                   "reasons": decision.reason_names(), **row}
+
+    with output_lock(out):
+        write_jsonl(out / dataio.DECISIONS_NAME, decision_rows())
+        yield_fraction = len(accepted_distances) / n_input if n_input else None
         hist_counts = []
         if accepted_distances:
             hist, _ = np.histogram(accepted_distances,
@@ -317,12 +392,11 @@ def cmd_filter(args) -> int:
         write_json(out / dataio.SUMMARY_NAME, {
             "schema_version": dataio.SCHEMA_VERSION,
             "criteria": dataclasses.asdict(criteria),
-            "n_input": len(corpus),
+            "n_input": n_input,
             "n_accepted": len(accepted_distances),
-            "n_rejected": len(corpus) - len(accepted_distances),
-            "yield": result.yield_fraction,
-            "reason_histogram": {reason.name: result.reason_counts[reason]
-                                 for reason in FilterReason},
+            "n_rejected": n_input - len(accepted_distances),
+            "yield": yield_fraction,
+            "reason_histogram": {reason.name: count for reason, count in reason_counts.items()},
             "accepted_distance_histogram": {
                 "bin_width_m": HIST_BIN_WIDTH_M,
                 "counts": hist_counts,
@@ -332,8 +406,8 @@ def cmd_filter(args) -> int:
                 "max": float(np.max(discrepancies)) if discrepancies else None,
             },
         })
-    print(f"filter kept {len(accepted_distances)}/{len(corpus)} "
-          f"(yield {result.yield_fraction}) -> {out}")
+    print(f"filter kept {len(accepted_distances)}/{n_input} "
+          f"(yield {yield_fraction}) -> {out}")
     return 0
 
 

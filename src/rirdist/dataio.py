@@ -14,6 +14,7 @@ import json
 import os
 import socket
 import struct
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -147,23 +148,29 @@ def write_text(path: Path | str, text: str) -> None:
         handle.write(text)
 
 
-def write_jsonl(path: Path | str, rows: list[dict]) -> None:
+def write_jsonl(path: Path | str, rows: Iterable[dict]) -> None:
+    """Write ``rows`` one line each as they arrive; ``rows`` may be a generator."""
     with _replacing(path) as handle:
         for row in rows:
             handle.write(json.dumps(row) + "\n")
 
 
-def read_jsonl(path: Path | str) -> list[dict]:
+def iter_jsonl(path: Path | str) -> Iterator[dict]:
+    """The rows of a JSON-lines file, parsed one line at a time."""
     path = Path(path)
-    if not path.exists():
-        raise MissingDataError(f"expected file not found: {path}")
-    rows = []
-    with open(path) as handle:
+    try:
+        handle = open(path)
+    except FileNotFoundError:
+        raise MissingDataError(f"expected file not found: {path}") from None
+    with handle:
         for line in handle:
             line = line.strip()
             if line:
-                rows.append(json.loads(line))
-    return rows
+                yield json.loads(line)
+
+
+def read_jsonl(path: Path | str) -> list[dict]:
+    return list(iter_jsonl(path))
 
 
 def write_json(path: Path | str, payload: dict) -> None:
@@ -188,29 +195,67 @@ def check_schema(payload: dict, what: str) -> None:
         )
 
 
+def pid_is_dead(pid: int) -> bool:
+    """True when ``pid`` names no live process on this host."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):   # alive under another user, or no pid at all
+        pass
+    return False
+
+
 class output_lock:
     """Exclusive advisory lock on an output directory (context manager).
 
     The lock file holds ``<pid> <hostname>`` of its owner, so a stale lock
-    names the run that left it.
+    names the run that left it. A lock whose owner is a dead process of
+    this host, a run that was killed, is removed and taken over; any other
+    existing lock, one of another host or one that names no owner, blocks.
     """
 
     def __init__(self, directory: Path | str):
         self.path = Path(directory) / LOCK_FILENAME
         self._fd = None
 
-    def __enter__(self):
+    @staticmethod
+    def _owner(path: Path) -> str:
         try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            return path.read_text()
+        except OSError:
+            return ""
+
+    def _remove_if_stale(self, owner: str) -> bool:
+        """Remove the lock file if ``owner`` is a dead process of this host."""
+        fields = owner.split()
+        if not (len(fields) == 2 and fields[0].isdecimal()
+                and fields[1] == socket.gethostname() and pid_is_dead(int(fields[0]))):
+            return False
+        # of two runs reclaiming one stale lock, only one can move it aside
+        grabbed = self.path.with_name(f"{self.path.name}.stale-{os.getpid()}")
+        try:
+            os.rename(self.path, grabbed)
+        except FileNotFoundError:
+            return True
+        if self._owner(grabbed) != owner:   # a live run's fresh lock: put it back
+            os.rename(grabbed, self.path)
+            return False
+        grabbed.unlink()
+        return True
+
+    def __enter__(self):
+        while True:
             try:
-                owner = self.path.read_text().strip()
-            except OSError:
-                owner = ""
-            raise OutputLockedError(
-                f"lock file {self.path} exists, holding {owner!r}; another run may be "
-                f"writing here (delete it if that run is dead)"
-            ) from None
+                self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                owner = self._owner(self.path)
+                if not self._remove_if_stale(owner):
+                    raise OutputLockedError(
+                        f"lock file {self.path} exists, holding {owner.strip()!r}; another "
+                        f"run may be writing here (delete it if that run is dead)"
+                    ) from None
         try:
             os.write(self._fd, f"{os.getpid()} {socket.gethostname()}\n".encode())
         except OSError:

@@ -2,31 +2,21 @@
 
 A reference profile summarizes a small enrollment set of trusted RIRs
 for one room (median T60, median decay curve on a coarse grid, median
-echo-density profile). Candidate RIRs are screened against the profile
-of their claimed room; every criterion is always evaluated so a
-rejection lists all applicable reasons, never just the first.
+echo-density profile). Candidate RIRs are screened by their descriptor
+rows, with no signal processed, against the profile of their claimed
+room; every criterion is always evaluated so a rejection lists all
+applicable reasons, never just the first.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Hashable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import (
-    _GRID_T,
-    AcousticMetrics,
-    InsufficientDecayError,
-    NonFiniteSignalError,
-    RIRecording,
-    ZeroEnergyError,
-    analyze_rir,
-)
-
-# what a degenerate RIR raises from the descriptor pass: it fails that RIR, not the run
-DESCRIPTOR_ERRORS = (ZeroEnergyError, InsufficientDecayError, NonFiniteSignalError)
+from .acoustics import _GRID_T, RIRecording, analyze_rir
 
 
 class FilterReason(enum.Enum):
@@ -79,84 +69,78 @@ class FilterDecision:
 
     accepted: bool
     reasons: frozenset[FilterReason]
-    metrics: AcousticMetrics | None
-    distance_m: float | None           # metadata distance the screen used
     error: str | None = None
 
     def reason_names(self) -> list[str]:
         return sorted(reason.name for reason in self.reasons)
 
 
-@dataclass
-class FilterBatchResult:
-    decisions: list[FilterDecision] = field(default_factory=list)   # in input order
-    reason_counts: dict[FilterReason, int] = field(default_factory=dict)
-    yield_fraction: float | None = None      # None for an empty batch
-
-
-def build_reference_profile(enrollment: Sequence[RIRecording]) -> ReferenceProfile:
+def build_reference_profile(enrollment: Iterable[RIRecording]) -> ReferenceProfile:
     """Median T60 / decay curve / echo profile over an enrollment set.
 
-    Requires at least two RIRs, all tagged with the same room id.
+    ``enrollment`` is iterated once, and each recording is analyzed
+    before the next is read, so a generator that decodes one WAV at a
+    time holds one signal at a time. Requires at least two RIRs, all
+    tagged with the same room id.
     """
-    if len(enrollment) < 2:
-        raise ValueError(f"enrollment needs at least 2 RIRs, got {len(enrollment)}")
-    room_ids = {rir.room_id for rir in enrollment}
+    room_ids, metrics = set(), []
+    for rir in enrollment:
+        room_ids.add(rir.room_id)
+        metrics.append(analyze_rir(rir))
+    if len(metrics) < 2:
+        raise ValueError(f"enrollment needs at least 2 RIRs, got {len(metrics)}")
     if len(room_ids) != 1:
         raise ValueError(f"enrollment mixes room ids {sorted(map(str, room_ids))}")
 
-    metrics = [analyze_rir(rir) for rir in enrollment]
     return ReferenceProfile(
-        room_id=enrollment[0].room_id,
+        room_id=room_ids.pop(),
         median_t60_s=float(np.median([m.t60_s for m in metrics])),
         median_edc_db=np.median(np.stack([m.edc_grid_db for m in metrics]), axis=0),
         echo_density_ref=np.median(np.asarray([m.echo_density for m in metrics],
                                               dtype=np.float64), axis=0),
-        n_enrollment=len(enrollment),
+        n_enrollment=len(metrics),
     )
 
 
-def apply_quality_filter(rir: RIRecording, profile: ReferenceProfile,
+def apply_quality_filter(row: Mapping, profile: ReferenceProfile,
                          criteria: FilterCriteria = FilterCriteria()) -> FilterDecision:
-    """Screen one RIR against its room's reference profile.
+    """Screen one RIR's descriptors against its room's reference profile.
 
-    All criteria are evaluated unconditionally. Distance is judged from
-    the recording's metadata positions, not from the detected direct
-    path. Metric extraction failures reject the RIR with the error
-    message wrapped into the decision instead of raising.
+    ``row`` maps ``t60_s``, ``edc_grid_db``, ``echo_density`` and
+    ``distance_m`` to the RIR's values: a ``metrics.jsonl`` row is one,
+    and so is a mapping of the fields of an :func:`analyze_rir` result.
+    No signal is processed. All criteria are evaluated unconditionally.
+    Distance is judged from the metadata distance ``distance_m``, not
+    from the detected direct path. A row with an ``error`` (its
+    descriptor pass failed), or with no distance, is rejected with an
+    error and no reasons.
     """
-    distance = rir.metadata_distance()
-    try:
-        metrics = analyze_rir(rir)
-    except DESCRIPTOR_ERRORS as exc:
-        return FilterDecision(
-            accepted=False, reasons=frozenset(), metrics=None,
-            distance_m=distance, error=f"{type(exc).__name__}: {exc}",
-        )
+    if row.get("error") is not None:
+        return FilterDecision(accepted=False, reasons=frozenset(), error=row["error"])
+    distance = row["distance_m"]
+    if distance is None:
+        return FilterDecision(accepted=False, reasons=frozenset(),
+                              error="metadata positions missing, distance unknown")
 
     reasons = set()
+    t60_s = row["t60_s"]
     median = profile.median_t60_s
-    if abs(metrics.t60_s - median) > criteria.t60_rel_tolerance * median:
+    if abs(t60_s - median) > criteria.t60_rel_tolerance * median:
         reasons.add(FilterReason.T60_OUT_OF_BAND)
-    if metrics.t60_s > criteria.t60_hard_cutoff_s:
+    if t60_s > criteria.t60_hard_cutoff_s:
         reasons.add(FilterReason.T60_ABOVE_CUTOFF)
-
-    if distance is None:
-        return FilterDecision(
-            accepted=False, reasons=frozenset(), metrics=metrics,
-            distance_m=None, error="metadata positions missing, distance unknown",
-        )
     if distance < criteria.min_distance_m:
         reasons.add(FilterReason.DISTANCE_TOO_CLOSE)
     if distance > criteria.max_distance_m:
         reasons.add(FilterReason.DISTANCE_TOO_FAR)
 
     n_compare = max(1, int(np.count_nonzero(_GRID_T <= median)))
-    deviation = metrics.edc_grid_db[:n_compare] - profile.median_edc_db[:n_compare]
+    deviation = (np.asarray(row["edc_grid_db"][:n_compare], dtype=np.float64)
+                 - profile.median_edc_db[:n_compare])
     if float(np.sqrt(np.mean(deviation ** 2))) > criteria.edc_max_rms_dev_db:
         reasons.add(FilterReason.EDC_SHAPE_MISMATCH)
 
-    total = float(sum(metrics.echo_density))
+    total = float(sum(row["echo_density"]))
     ref_total = float(np.sum(profile.echo_density_ref))
     if ref_total > 0.0:
         echo_mismatch = abs(total - ref_total) / ref_total > criteria.echo_max_rel_dev
@@ -165,31 +149,20 @@ def apply_quality_filter(rir: RIRecording, profile: ReferenceProfile,
     if echo_mismatch:
         reasons.add(FilterReason.EARLY_REFLECTION_MISMATCH)
 
-    return FilterDecision(
-        accepted=not reasons, reasons=frozenset(reasons),
-        metrics=metrics, distance_m=distance, error=None,
-    )
+    return FilterDecision(accepted=not reasons, reasons=frozenset(reasons))
 
 
-def filter_batch(rirs: Iterable[RIRecording],
-                 profiles: dict,
-                 criteria: FilterCriteria = FilterCriteria()) -> FilterBatchResult:
-    """Screen RIRs one at a time, each against the profile of its room id.
+def filter_batch(rows: Iterable[tuple[Hashable, Mapping]], profiles: dict,
+                 criteria: FilterCriteria = FilterCriteria()) -> Iterator[FilterDecision]:
+    """Screen descriptor rows one at a time, each against the profile of its room.
 
-    ``rirs`` is iterated once, lazily, and only the decisions are kept,
-    in input order. Raises :class:`MissingProfileError` naming the first
-    room id without a profile. An empty batch reports
-    ``yield_fraction = None``.
+    ``rows`` yields ``(room_id, row)`` pairs, ``row`` as
+    :func:`apply_quality_filter` takes it. It is iterated once, lazily,
+    and one decision is yielded per pair, in input order; nothing is
+    kept. Raises :class:`MissingProfileError` naming the first room id
+    without a profile.
     """
-    result = FilterBatchResult(reason_counts={reason: 0 for reason in FilterReason})
-    for rir in rirs:
-        if rir.room_id not in profiles:
-            raise MissingProfileError(f"no reference profile for room {rir.room_id!r}")
-        decision = apply_quality_filter(rir, profiles[rir.room_id], criteria)
-        result.decisions.append(decision)
-        for reason in decision.reasons:
-            result.reason_counts[reason] += 1
-    if result.decisions:
-        n_accepted = sum(decision.accepted for decision in result.decisions)
-        result.yield_fraction = n_accepted / len(result.decisions)
-    return result
+    for room_id, row in rows:
+        if room_id not in profiles:
+            raise MissingProfileError(f"no reference profile for room {room_id!r}")
+        yield apply_quality_filter(row, profiles[room_id], criteria)

@@ -1,8 +1,11 @@
 """Deterministic signal builders shared across the test suite."""
 
+import subprocess
+import sys
+
 import numpy as np
 
-from rirdist.acoustics import RIRecording
+from rirdist.acoustics import DESCRIPTOR_ERRORS, RIRecording, analyze_rir
 
 SAMPLE_RATE = 32000
 
@@ -130,3 +133,23 @@ def golden_corpus():
         "bad_edc": _golden_linear(1.60, 2.8, initial_drop_db=8.0),
         "bad_echo": _golden_dense_echoes(1.60, 3.2),
     }
+
+
+def descriptor_row(rir):
+    """The mapping ``apply_quality_filter`` screens, straight from ``analyze_rir(rir)``.
+
+    A failed descriptor pass gives a row with its error, as ``analyze`` writes one.
+    """
+    try:
+        metrics = analyze_rir(rir)
+    except DESCRIPTOR_ERRORS as exc:
+        return {"distance_m": rir.metadata_distance(), "error": f"{type(exc).__name__}: {exc}"}
+    return {"t60_s": metrics.t60_s, "edc_grid_db": metrics.edc_grid_db,
+            "echo_density": metrics.echo_density, "distance_m": rir.metadata_distance()}
+
+
+def dead_pid() -> int:
+    """The pid of a process that has exited and been reaped: it names no process now."""
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    return child.pid

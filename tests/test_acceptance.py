@@ -34,7 +34,13 @@ from rirdist.synth import (
     synthesize_rir,
 )
 
-from helpers import exp_envelope_rir, golden_corpus, golden_enrollment, theoretical_t60
+from helpers import (
+    descriptor_row,
+    exp_envelope_rir,
+    golden_corpus,
+    golden_enrollment,
+    theoretical_t60,
+)
 
 SPEED = 343.0
 RATE = 32000
@@ -129,12 +135,14 @@ def test_criterion_4_filter_fixture_yield():
             defaults.min_distance_m, defaults.max_distance_m) == (0.20, 1.8695, 0.8, 7.1)
 
     profile = build_reference_profile(golden_enrollment())
-    corpus = golden_corpus()
-    result = filter_batch(corpus.values(), {"golden": profile}, defaults)
-    assert result.yield_fraction == 0.25
-    histogram = {reason.name: count for reason, count in result.reason_counts.items()}
+    rows = [("golden", descriptor_row(rir)) for rir in golden_corpus().values()]
+    decisions = list(filter_batch(rows, {"golden": profile}, defaults))
+    yield_fraction = sum(decision.accepted for decision in decisions) / len(decisions)
+    assert yield_fraction == 0.25
+    histogram = {reason.name: sum(reason in decision.reasons for decision in decisions)
+                 for reason in FilterReason}
     assert histogram == {reason.name: 1 for reason in FilterReason}
-    print(f"criterion 4 PASS: yield {result.yield_fraction}, reasons {histogram}")
+    print(f"criterion 4 PASS: yield {yield_fraction}, reasons {histogram}")
 
 
 # --------------------------------------------------------------- criterion 5
@@ -192,6 +200,7 @@ def _run_pipeline(base: Path) -> dict:
                  "--n", "200", "--seed", "7"]) == 0
     assert main(["generate", "--out", str(enroll), "--rooms", "1-20",
                  "--n", "20", "--seed", "1007"]) == 0
+    assert main(["analyze", "--in", str(corpus)]) == 0
     assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll)]) == 0
     assert main(["train", "--in", str(corpus), "--out", str(model_dir),
                  "--seed", "7", "--holdout", "0.2"]) == 0

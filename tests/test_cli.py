@@ -4,21 +4,25 @@ import json
 import os
 import shutil
 import socket
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rirdist import acoustics, cli, dataio
-from rirdist.acoustics import analyze_rir
+from rirdist import acoustics, cli, dataio, filtering
+from rirdist.acoustics import EDC_GRID_POINTS, analyze_rir
 from rirdist.cli import main
 from rirdist.estimator import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, extract_features
 from rirdist.synth import SynthesisConfig, builtin_room
 
-from helpers import GOLDEN_EXPECTED, GOLDEN_ROOM_ID, golden_corpus, golden_enrollment
+from helpers import (
+    GOLDEN_EXPECTED,
+    GOLDEN_ROOM_ID,
+    dead_pid,
+    golden_corpus,
+    golden_enrollment,
+)
 
 
 def _write_corpus(directory: Path, entries, seed=0):
@@ -53,6 +57,7 @@ def golden_dirs(tmp_path):
     _write_corpus(corpus_dir, sorted(golden_corpus().items()))
     _write_corpus(enroll_dir, [(f"enroll_{i}", rir)
                                for i, rir in enumerate(golden_enrollment())])
+    assert main(["analyze", "--in", str(corpus_dir)]) == 0
     return corpus_dir, enroll_dir
 
 
@@ -65,6 +70,7 @@ def pipeline_dirs(tmp_path_factory):
                  "--n", "16", "--seed", "3"]) == 0
     assert main(["generate", "--out", str(enroll), "--rooms", "1-3",
                  "--n", "4", "--seed", "103"]) == 0
+    assert main(["analyze", "--in", str(corpus)]) == 0
     assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll)]) == 0
     assert main(["train", "--in", str(corpus), "--out", str(model_dir),
                  "--seed", "3", "--lr-grid", "1e-4", "--epoch-grid", "5,10"]) == 0
@@ -109,6 +115,26 @@ def test_output_lock_records_its_owner(tmp_path):
         owner = (tmp_path / dataio.LOCK_FILENAME).read_text()
     assert owner == f"{os.getpid()} {socket.gethostname()}\n"
     assert not (tmp_path / dataio.LOCK_FILENAME).exists()
+
+
+def test_a_lock_left_by_a_dead_run_no_longer_blocks(golden_dirs, tmp_path):
+    corpus_dir, enroll_dir = golden_dirs
+    out = tmp_path / "generated"
+    screened = tmp_path / "screened"
+    screened.mkdir()
+    assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "1"]) == 0
+    for directory in (out, screened):
+        (directory / dataio.LOCK_FILENAME).write_text(f"{dead_pid()} {socket.gethostname()}\n")
+    assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "1"]) == 0
+    assert main(["filter", "--in", str(corpus_dir), "--enrollment", str(enroll_dir),
+                 "--out", str(screened)]) == 0
+    for directory in (out, screened):
+        assert sorted(p.name for p in directory.iterdir() if p.name.startswith(".")) == []
+
+    live = f"{os.getppid()} {socket.gethostname()}\n"   # a live run of this host still blocks
+    (out / dataio.LOCK_FILENAME).write_text(live)
+    assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "1"]) == 2
+    assert (out / dataio.LOCK_FILENAME).read_text() == live
 
 
 def test_locked_output_names_the_lock_owner(tmp_path, capsys):
@@ -210,17 +236,11 @@ def test_regenerate_keeps_out_locked_through_the_swap(tmp_path, monkeypatch):
     assert not (out / dataio.LOCK_FILENAME).exists()
 
 
-def _dead_pid() -> int:
-    child = subprocess.Popen([sys.executable, "-c", ""])
-    child.wait()   # reaped: the pid names no process now
-    return child.pid
-
-
 def test_generate_removes_staging_dirs_of_killed_runs(tmp_path):
     out = tmp_path / "corpus"
     argv = ["generate", "--out", str(out), "--rooms", "1", "--n", "1"]
     assert main(argv) == 0
-    dead, live = _dead_pid(), os.getppid()
+    dead, live = dead_pid(), os.getppid()
     kept = [f".corpus.rirdist-new-{live}", f".corpus.rirdist-old-{dead}",
             f".other.rirdist-new-{dead}", ".corpus.rirdist-new-notapid"]
     for name in kept + [f".corpus.rirdist-new-{dead}"]:
@@ -283,6 +303,16 @@ def test_generate_refuses_repeated_room_ids(tmp_path, capsys, rooms):
     ({"rooms": [{"room_id": "lab", "absorption": 0.3}]}, "dims"),
     ({"rooms": [{"room_id": "lab,2", "dims": [5.0, 4.0, 3.0], "absorption": 0.3}]}, "lab,2"),
     ({"rooms": [{"room_id": "a/b", "dims": [5.0, 4.0, 3.0], "absorption": 0.3}]}, "a/b"),
+    ({"rooms": [{"room_id": "lab", "dims": [5.0, 4.0, 3.0], "absorption": 0.3,
+                 "seed": "x"}]}, "lab"),
+    ({"rooms": [{"room_id": "lab", "dims": [5.0, 4.0, 3.0], "absorption": 0.3,
+                 "seed": 2.5}]}, "lab"),
+    ({"rooms": [{"room_id": "lab", "dims": [5.0, 4.0, 3.0], "absorption": 0.3,
+                 "seed": True}]}, "lab"),
+    ({"rooms": [{"room_id": "lab", "dims": [5.0, 4.0], "absorption": 0.3}]}, "lab"),
+    ({"rooms": [{"room_id": "lab", "dims": [5.0, "4", 3.0], "absorption": 0.3}]}, "lab"),
+    ({"rooms": [{"room_id": "lab", "dims": [5.0, 4.0, 3.0], "absorption": "0.3"}]}, "lab"),
+    ({"rooms": [{"room_id": "lab", "dims": [5.0, 4.0, 300.0], "absorption": 0.3}]}, "lab"),
 ])
 def test_generate_refuses_a_malformed_room_profile(tmp_path, capsys, profile, key):
     rooms = tmp_path / "rooms.json"
@@ -361,6 +391,8 @@ def test_analyze_emits_one_row_per_rir(tmp_path):
         assert len(row["echo_density"]) == 10
         assert row["flags"] == sorted(row["flags"])
         assert abs(row["measured_distance_m"] - row["distance_m"]) < 0.05
+        assert list(row)[-1] == "edc_grid_db"
+        assert len(row["edc_grid_db"]) == EDC_GRID_POINTS and row["edc_grid_db"][0] == 0.0
 
 
 def test_analyze_records_bad_rows_without_failing_the_run(tmp_path):
@@ -475,18 +507,40 @@ def test_filter_decodes_only_enrollment_rooms_the_corpus_uses(golden_dirs, tmp_p
     assert {row["rir_id"]: row["reasons"] for row in decisions} == GOLDEN_EXPECTED
 
 
-def test_filter_streams_the_corpus(pipeline_dirs, tmp_path):
+def _traced_peak(argv) -> int:
+    """tracemalloc peak of one CLI run; a ``filter`` run resets it when screening starts."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_filter_streams_the_corpus(pipeline_dirs, tmp_path, monkeypatch):
     corpus, enroll, _ = pipeline_dirs
     manifest = dataio.read_json(corpus / dataio.MANIFEST_NAME)
     decoded_corpus_bytes = manifest["count"] * manifest["duration_samples"] * 8
-    tracemalloc.start()
-    try:
-        assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll),
-                     "--out", str(tmp_path / "screened")]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(["filter", "--in", str(corpus), "--enrollment", str(enroll),
+                         "--out", str(tmp_path / "screened")])
     assert peak < decoded_corpus_bytes / 2
+
+    def screen_from_here(*args, **kwargs):   # leaves out building the enrollment profiles
+        tracemalloc.reset_peak()
+        return filtering.filter_batch(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "filter_batch", screen_from_here)
+    # analyze and the screening loop keep a few numbers per RIR, not its row or metadata
+    peaks = {"analyze": [], "filter": []}
+    for n in (32, 64):
+        doubled = tmp_path / f"corpus{n}"
+        assert main(["generate", "--out", str(doubled), "--rooms", "1-3",
+                     "--n", str(n), "--seed", "3"]) == 0
+        peaks["analyze"].append(_traced_peak(["analyze", "--in", str(doubled)]))
+        peaks["filter"].append(_traced_peak(["filter", "--in", str(doubled), "--enrollment",
+                                             str(enroll), "--out", str(tmp_path / f"out{n}")]))
+    for stage, (single, double) in peaks.items():
+        assert double - single < 3 * 32 * 256, (stage, single, double)
 
 
 def test_decisions_carry_each_rirs_features(pipeline_dirs):
@@ -506,23 +560,73 @@ def test_decisions_carry_each_rirs_features(pipeline_dirs):
             == [float(value).hex() for value in recomputed]
 
 
-def test_metrics_rows_are_decision_rows_without_the_verdict(golden_dirs, tmp_path):
-    """analyze and filter write one row format: a decisions row is the metrics
-    row with ``accepted`` and ``reasons`` after ``rir_id``."""
+def test_metrics_rows_are_decision_rows_without_the_verdict(golden_dirs):
+    """filter builds its rows from analyze's: a decisions row is the metrics row
+    with ``accepted`` and ``reasons`` after ``rir_id`` and without ``edc_grid_db``."""
     corpus, enroll = golden_dirs
     first = dataio.read_jsonl(corpus / dataio.METADATA_NAME)[0]["rir_id"]
     dataio.write_wav(corpus / f"{first}.wav", np.zeros(32000), 32000)   # an error row
-    metrics_path = tmp_path / "metrics.jsonl"
-    assert main(["analyze", "--in", str(corpus), "--out", str(metrics_path)]) == 0
+    assert main(["analyze", "--in", str(corpus)]) == 0
     assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll)]) == 0
-    metrics = dataio.read_jsonl(metrics_path)
+    metrics = dataio.read_jsonl(corpus / dataio.METRICS_NAME)
     decisions = dataio.read_jsonl(corpus / dataio.DECISIONS_NAME)
     assert len(metrics) == len(decisions)
     assert "error" in metrics[0] and metrics[0]["t60_s"] is None
+    assert metrics[0]["edc_grid_db"] is None
+    assert decisions[0]["error"] == metrics[0]["error"] and not decisions[0]["accepted"]
     for described, decided in zip(metrics, decisions):
+        assert described.pop("edc_grid_db", "absent") != "absent"
         assert list(decided)[:3] == ["rir_id", "accepted", "reasons"]
         assert list(decided)[3:] == list(described)[1:]
         assert {key: decided[key] for key in described} == described
+
+
+def test_filter_without_metrics_names_the_analyze_to_run(golden_dirs, capsys):
+    corpus, enroll = golden_dirs
+    (corpus / dataio.METRICS_NAME).unlink()
+    assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll)]) == 3
+    assert f"rirdist analyze --in {corpus}" in capsys.readouterr().err
+    assert not (corpus / dataio.DECISIONS_NAME).exists()
+
+
+def _reordered(rows):
+    return rows[1:] + rows[:1]
+
+
+def _without_grids(rows):
+    return [{key: value for key, value in row.items() if key != "edc_grid_db"} for row in rows]
+
+
+def _truncated_grid(rows):
+    rows[2]["edc_grid_db"] = rows[2]["edc_grid_db"][:10]
+    return rows
+
+
+def _moved(rows):
+    rows[1]["distance_m"] += 1e-9
+    return rows
+
+
+@pytest.mark.parametrize("edit", [_reordered, _without_grids, _truncated_grid, _moved,
+                                  lambda rows: rows[:-1], lambda rows: rows + rows[:1]],
+                         ids=["reordered", "no_grid", "short_grid", "moved", "short", "long"])
+def test_filter_refuses_metrics_of_another_corpus(golden_dirs, capsys, edit):
+    corpus, enroll = golden_dirs
+    rows = dataio.read_jsonl(corpus / dataio.METRICS_NAME)
+    dataio.write_jsonl(corpus / dataio.METRICS_NAME, edit(rows))
+    assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll)]) == 4
+    assert f"rirdist analyze --in {corpus}" in capsys.readouterr().err
+    assert not (corpus / dataio.DECISIONS_NAME).exists()
+    assert not (corpus / dataio.LOCK_FILENAME).exists()
+
+
+def test_filter_refuses_the_metrics_of_a_foreign_corpus(golden_dirs, tmp_path):
+    corpus, enroll = golden_dirs
+    foreign = tmp_path / "foreign"       # other rir_ids, other scenes
+    assert main(["generate", "--out", str(foreign), "--rooms", "1", "--n", "8"]) == 0
+    assert main(["analyze", "--in", str(foreign)]) == 0
+    shutil.copy(foreign / dataio.METRICS_NAME, corpus / dataio.METRICS_NAME)
+    assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll)]) == 4
 
 
 # ------------------------------------------------------------ train and eval
@@ -626,24 +730,29 @@ def _count_calls(monkeypatch, name, *modules):
 
 def test_filter_and_train_do_one_descriptor_pass_per_rir(pipeline_dirs, tmp_path,
                                                           monkeypatch):
-    corpus, enroll, _ = pipeline_dirs
+    """analyze decodes and integrates each corpus RIR once, filter only each
+    enrollment RIR, and train neither."""
+    source, enroll, _ = pipeline_dirs
+    corpus = tmp_path / "corpus"
+    shutil.copytree(source, corpus)
     n_corpus = len(dataio.read_jsonl(corpus / dataio.METADATA_NAME))
     n_enroll = len(dataio.read_jsonl(enroll / dataio.METADATA_NAME))
     edc_calls = _count_calls(monkeypatch, "schroeder_edc", acoustics)
+    wav_reads = _count_calls(monkeypatch, "read_wav", dataio, cli)
+    assert main(["analyze", "--in", str(corpus)]) == 0
+    assert (len(wav_reads), len(edc_calls)) == (n_corpus, n_corpus)
     screened = tmp_path / "screened"
     assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll),
                  "--out", str(screened)]) == 0
-    assert len(edc_calls) == n_corpus + n_enroll
+    assert (len(wav_reads), len(edc_calls)) == (n_corpus + n_enroll, n_corpus + n_enroll)
 
     decisions = screened / dataio.DECISIONS_NAME
     accepted = sum(row["accepted"] for row in dataio.read_jsonl(decisions))
     assert 0 < accepted < n_corpus
-    wav_reads = _count_calls(monkeypatch, "read_wav", dataio, cli)
     assert main(["train", "--in", str(corpus), "--decisions", str(decisions),
                  "--out", str(tmp_path / "model"), "--seed", "3",
                  "--lr-grid", "1e-4", "--epoch-grid", "5"]) == 0
-    assert wav_reads == []                          # train reads filter's features
-    assert len(edc_calls) == n_corpus + n_enroll
+    assert (len(wav_reads), len(edc_calls)) == (n_corpus + n_enroll, n_corpus + n_enroll)
 
 
 def _train_argv(corpus, out, *extra):
@@ -726,6 +835,30 @@ def test_eval_foreign_model_schema_is_rejected(pipeline_dirs, tmp_path):
     assert main(["eval", "--model", str(broken),
                  "--dataset", str(model_dir / dataio.HOLDOUT_NAME),
                  "--out", str(tmp_path / "out")]) == 4
+
+
+def test_analyze_rows_evaluate_and_their_decay_grid_is_ignored(pipeline_dirs, tmp_path):
+    """``analyze --in enroll`` then ``eval --dataset enroll/metrics.jsonl`` scores the
+    trusted set; eval reads the feature keys and nothing else of a row."""
+    _, enroll, model_dir = pipeline_dirs
+    analyzed = tmp_path / "enroll"
+    shutil.copytree(enroll, analyzed)
+    assert main(["analyze", "--in", str(analyzed)]) == 0
+    rows = dataio.read_jsonl(analyzed / dataio.METRICS_NAME)
+    assert all(len(row["edc_grid_db"]) == EDC_GRID_POINTS for row in rows)
+    stripped = tmp_path / "stripped.jsonl"
+    dataio.write_jsonl(stripped, [{key: row[key] for key in
+                                   ("rir_id", "distance_m", "feature_schema_version", "features")}
+                                  for row in rows])
+    outputs = []
+    for dataset in (analyzed / dataio.METRICS_NAME, stripped):
+        out = tmp_path / f"eval_{dataset.stem}"
+        assert main(["eval", "--model", str(model_dir / dataio.MODEL_NAME),
+                     "--dataset", str(dataset), "--out", str(out)]) == 0
+        outputs.append(_snapshot(out))
+    assert dataio.read_json(tmp_path / "eval_metrics" / dataio.EVAL_NAME)["n_samples"] \
+        == len(rows)
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_foreign_feature_rows_are_rejected(pipeline_dirs, tmp_path):

@@ -1,4 +1,5 @@
 import os
+import socket
 import struct
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from scipy.io import wavfile   # test-only oracle for the package's own codec
 import rirdist
 from rirdist import dataio
 from rirdist.cli import main
+
+from helpers import dead_pid
 
 _CODEC = settings(max_examples=80, deadline=None)
 
@@ -171,3 +174,31 @@ def test_failed_json_write_leaves_the_old_file(tmp_path, write, bad):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
+
+
+def test_a_dead_runs_lock_is_taken_over(tmp_path):
+    lock = tmp_path / dataio.LOCK_FILENAME
+    lock.write_text(f"{dead_pid()} {socket.gethostname()}\n")
+    with dataio.output_lock(tmp_path):
+        assert lock.read_text() == f"{os.getpid()} {socket.gethostname()}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_stale_lock_another_run_took_over_first_is_put_back(tmp_path, monkeypatch):
+    """Two runs reclaim one stale lock: the slower one finds the faster one's
+    fresh lock where the stale one was, leaves it in place and is refused."""
+    lock = tmp_path / dataio.LOCK_FILENAME
+    stale = f"{dead_pid()} {socket.gethostname()}\n"
+    fresh = f"{os.getppid()} {socket.gethostname()}\n"   # a live process of this host
+    lock.write_text(fresh)
+    read_owner = dataio.output_lock._owner
+
+    def owner_as_first_read(path):   # the slower run read the lock before it was replaced
+        return stale if path == lock else read_owner(path)
+
+    monkeypatch.setattr(dataio.output_lock, "_owner", staticmethod(owner_as_first_read))
+    with pytest.raises(dataio.OutputLockedError):
+        with dataio.output_lock(tmp_path):
+            pass
+    assert lock.read_text() == fresh
+    assert list(tmp_path.iterdir()) == [lock]

@@ -1,9 +1,14 @@
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rirdist.acoustics import EDC_GRID_POINTS, RIRecording, analyze_rir
+from rirdist import cli, dataio
+from rirdist.acoustics import _GRID_T, EDC_GRID_POINTS, RIRecording, analyze_rir
 from rirdist.filtering import (
     FilterCriteria,
     FilterReason,
@@ -17,6 +22,8 @@ from rirdist.filtering import (
 from helpers import (
     GOLDEN_EXPECTED,
     GOLDEN_ROOM_ID,
+    descriptor_row,
+    exp_envelope_rir,
     golden_corpus,
     golden_enrollment,
     linear_edc_db,
@@ -84,6 +91,16 @@ def test_profile_median_t60():
     assert profile.room_id == "r"
 
 
+def test_profile_takes_a_one_shot_generator():
+    enrollment = [_linear_rir(0.4), _linear_rir(0.5), _linear_rir(0.9)]
+    streamed = build_reference_profile(rir for rir in enrollment)
+    listed = build_reference_profile(enrollment)
+    assert (streamed.room_id, streamed.median_t60_s, streamed.n_enrollment) \
+        == (listed.room_id, listed.median_t60_s, listed.n_enrollment)
+    np.testing.assert_array_equal(streamed.median_edc_db, listed.median_edc_db)
+    np.testing.assert_array_equal(streamed.echo_density_ref, listed.echo_density_ref)
+
+
 def test_profile_shapes_and_duplicate_stability():
     rir = _linear_rir(0.7)
     single = analyze_rir(rir)
@@ -97,23 +114,26 @@ def test_profile_shapes_and_duplicate_stability():
 
 # ------------------------------------------------------- screening decisions
 
+def _screen(rir, profile, criteria=FilterCriteria()):
+    return apply_quality_filter(descriptor_row(rir), profile, criteria)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_EXPECTED))
 def test_golden_corpus_single_reason_decisions(name, golden_profile):
-    decision = apply_quality_filter(golden_corpus()[name], golden_profile)
+    decision = _screen(golden_corpus()[name], golden_profile)
     assert decision.reason_names() == GOLDEN_EXPECTED[name]
     assert decision.accepted == (not GOLDEN_EXPECTED[name])
     assert decision.error is None
-    assert decision.metrics is not None
 
 
 def test_enrollment_passes_its_own_profile(golden_profile):
     for rir in golden_enrollment():
-        assert apply_quality_filter(rir, golden_profile).accepted
+        assert _screen(rir, golden_profile).accepted
 
 
 def test_long_t60_trips_band_and_cutoff_together():
     profile = build_reference_profile([_linear_rir(1.0), _linear_rir(1.0)])
-    decision = apply_quality_filter(_linear_rir(2.0, distance_m=2.0), profile)
+    decision = _screen(_linear_rir(2.0, distance_m=2.0), profile)
     assert not decision.accepted
     assert {FilterReason.T60_OUT_OF_BAND, FilterReason.T60_ABOVE_CUTOFF} <= decision.reasons
 
@@ -123,7 +143,7 @@ def test_degenerate_signal_yields_error_decision(golden_profile):
     impulse[0] = 1.0
     free_field = RIRecording(samples=impulse, room_id=GOLDEN_ROOM_ID,
                              source_pos=(1.0, 1.0, 1.0), receiver_pos=(3.0, 1.0, 1.0))
-    decision = apply_quality_filter(free_field, golden_profile)
+    decision = _screen(free_field, golden_profile)
     assert not decision.accepted
     assert decision.reasons == frozenset()
     assert "InsufficientDecayError" in decision.error
@@ -134,26 +154,24 @@ def test_non_finite_signal_yields_error_decision(golden_profile, value):
     rir = golden_corpus()["good_a"]
     samples = rir.samples.copy()
     samples[100] = value
-    decision = apply_quality_filter(dataclasses.replace(rir, samples=samples), golden_profile)
+    decision = _screen(dataclasses.replace(rir, samples=samples), golden_profile)
     assert not decision.accepted
     assert decision.reasons == frozenset()
-    assert decision.metrics is None
     assert decision.error.startswith("NonFiniteSignalError: ")
 
 
 def test_missing_positions_yield_error_decision(golden_profile):
     rir = prescribed_edc_rir(linear_edc_db(1.6), room_id=GOLDEN_ROOM_ID)
-    decision = apply_quality_filter(rir, golden_profile)
+    decision = _screen(rir, golden_profile)
     assert not decision.accepted
-    assert decision.distance_m is None
+    assert decision.reasons == frozenset()
     assert "distance" in decision.error
 
 
 def test_decisions_are_scale_invariant(golden_profile):
     for name, rir in golden_corpus().items():
         scaled = dataclasses.replace(rir, samples=rir.samples * 8.0)
-        assert apply_quality_filter(scaled, golden_profile).reason_names() \
-            == GOLDEN_EXPECTED[name]
+        assert _screen(scaled, golden_profile).reason_names() == GOLDEN_EXPECTED[name]
 
 
 def test_widened_criteria_accept_a_superset(golden_profile):
@@ -164,12 +182,16 @@ def test_widened_criteria_accept_a_superset(golden_profile):
     )
     corpus = golden_corpus()
     accepted_default = {name for name, rir in corpus.items()
-                        if apply_quality_filter(rir, golden_profile, defaults).accepted}
+                        if _screen(rir, golden_profile, defaults).accepted}
     accepted_wide = {name for name, rir in corpus.items()
-                     if apply_quality_filter(rir, golden_profile, wide).accepted}
+                     if _screen(rir, golden_profile, wide).accepted}
     assert accepted_default <= accepted_wide
     # the dense-echo fixture is two orders of magnitude off, so it alone survives widening
     assert accepted_wide == set(corpus) - {"bad_echo"}
+
+
+def _golden_rows():
+    return [(GOLDEN_ROOM_ID, descriptor_row(rir)) for rir in golden_corpus().values()]
 
 
 def test_vacuous_criteria_accept_everything(golden_profile):
@@ -178,49 +200,85 @@ def test_vacuous_criteria_accept_everything(golden_profile):
         min_distance_m=0.0, max_distance_m=100.0,
         edc_max_rms_dev_db=1e9, echo_max_rel_dev=1e9,
     )
-    result = filter_batch(golden_corpus().values(),
-                          {GOLDEN_ROOM_ID: build_reference_profile(golden_enrollment())},
-                          vacuous)
-    assert result.yield_fraction == 1.0
-    assert all(decision.accepted for decision in result.decisions)
+    decisions = list(filter_batch(_golden_rows(), {GOLDEN_ROOM_ID: golden_profile}, vacuous))
+    assert len(decisions) == len(golden_corpus())
+    assert all(decision.accepted for decision in decisions)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tau_s=st.floats(0.05, 0.3), seed=st.integers(0, 2 ** 32 - 1),
+       distance_m=st.floats(0.2, 9.0), on_the_edge=st.booleans())
+def test_a_written_and_read_back_row_screens_like_the_in_memory_result(
+        golden_profile, tau_s, seed, distance_m, on_the_edge):
+    """What analyze writes and filter reads back decides exactly as the
+    analyze_rir result it came from: every float survives the JSON line."""
+    source, receiver = scene_positions(distance_m)
+    rir = exp_envelope_rir(tau_s, seed=seed, source_pos=source, receiver_pos=receiver,
+                           room_id=GOLDEN_ROOM_ID)
+    metrics = analyze_rir(rir)
+    criteria = FilterCriteria()
+    if on_the_edge:   # every threshold at the in-memory value, where one ulp flips a reason
+        median = golden_profile.median_t60_s
+        n = max(1, int(np.count_nonzero(_GRID_T <= median)))
+        deviation = metrics.edc_grid_db[:n] - golden_profile.median_edc_db[:n]
+        criteria = FilterCriteria(
+            t60_rel_tolerance=abs(metrics.t60_s - median) / median,
+            t60_hard_cutoff_s=metrics.t60_s,
+            edc_max_rms_dev_db=float(np.sqrt(np.mean(deviation ** 2))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "metrics.jsonl"
+        dataio.write_jsonl(path, [cli._metrics_row("r", metrics, rir.metadata_distance(), None)])
+        (row,) = dataio.read_jsonl(path)
+    assert row["edc_grid_db"] == metrics.edc_grid_db.tolist()
+    assert row["t60_s"] == metrics.t60_s
+    assert apply_quality_filter(row, golden_profile, criteria) \
+        == apply_quality_filter(descriptor_row(rir), golden_profile, criteria)
 
 
 # ---------------------------------------------------------------- batch runs
 
 def test_golden_batch_yield_and_histogram(golden_profile):
-    corpus = golden_corpus()
-    result = filter_batch(corpus.values(), {GOLDEN_ROOM_ID: golden_profile})
-    assert result.yield_fraction == 0.25
-    assert len(result.decisions) == len(corpus)
-    assert sum(decision.accepted for decision in result.decisions) == 2
-    assert set(result.reason_counts) == set(FilterReason)
-    assert all(count == 1 for count in result.reason_counts.values())
+    decisions = list(filter_batch(_golden_rows(), {GOLDEN_ROOM_ID: golden_profile}))
+    assert len(decisions) == len(golden_corpus())
+    assert sum(decision.accepted for decision in decisions) == 2
+    for reason in FilterReason:
+        assert sum(reason in decision.reasons for decision in decisions) == 1
 
 
 def test_batch_empty_input():
-    result = filter_batch([], {})
-    assert result.yield_fraction is None
-    assert result.decisions == []
+    assert list(filter_batch([], {})) == []
 
 
 def test_batch_missing_profile_names_room():
+    row = descriptor_row(_linear_rir(1.6, distance_m=2.0, room_id=GOLDEN_ROOM_ID))
     with pytest.raises(MissingProfileError, match="golden"):
-        filter_batch([_linear_rir(1.6, distance_m=2.0, room_id=GOLDEN_ROOM_ID)], {})
+        list(filter_batch([(GOLDEN_ROOM_ID, row)], {}))
 
 
 def test_batch_is_deterministic(golden_profile):
-    corpus = list(golden_corpus().values())
+    rows = _golden_rows()
     profiles = {GOLDEN_ROOM_ID: golden_profile}
-    first = [(d.accepted, d.reason_names()) for d in filter_batch(corpus, profiles).decisions]
-    second = [(d.accepted, d.reason_names()) for d in filter_batch(corpus, profiles).decisions]
+    first = [(d.accepted, d.reason_names()) for d in filter_batch(rows, profiles)]
+    second = [(d.accepted, d.reason_names()) for d in filter_batch(rows, profiles)]
     assert first == second
 
 
 def test_batch_partition_is_exhaustive(golden_profile):
-    corpus = list(golden_corpus().values())
+    rows = _golden_rows()
     # a one-shot generator is enough: the batch is iterated once
-    result = filter_batch((rir for rir in corpus), {GOLDEN_ROOM_ID: golden_profile})
-    assert len(result.decisions) == len(corpus)
-    for rir, decision in zip(corpus, result.decisions):   # decisions in input order
-        assert decision.distance_m == rir.metadata_distance()
+    decisions = list(filter_batch((pair for pair in rows), {GOLDEN_ROOM_ID: golden_profile}))
+    assert len(decisions) == len(rows)
+    for (_, row), decision in zip(rows, decisions):   # decisions in input order
+        assert decision == apply_quality_filter(row, golden_profile)
         assert decision.accepted == (not decision.reasons and decision.error is None)
+
+
+def test_batch_yields_each_decision_before_reading_the_next_row(golden_profile):
+    def rows():
+        yield _golden_rows()[0]
+        raise RuntimeError("read past the first row")
+
+    decisions = filter_batch(rows(), {GOLDEN_ROOM_ID: golden_profile})
+    assert next(decisions).accepted
+    with pytest.raises(RuntimeError, match="past the first row"):
+        next(decisions)
