@@ -12,9 +12,11 @@ import argparse
 import dataclasses
 import itertools
 import os
+import queue
 import re
 import shutil
 import sys
+import threading
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -172,6 +174,54 @@ def _remove_dead_stages(out: Path) -> None:
             shutil.rmtree(entry, ignore_errors=True)
 
 
+class _BackgroundWriter:
+    """Runs ``write(*args)`` calls on one thread, in the order they were submitted.
+
+    ``generate`` hands each WAV here and synthesizes the next RIR while
+    the kernel creates the file. At most :attr:`DEPTH` calls wait. The first
+    call that raises ends the writing: no later call runs, and the next
+    :meth:`submit` or the clean exit re-raises that error on the calling
+    thread. Leaving the ``with`` block joins the thread; leaving it by an
+    exception drops the calls still waiting.
+    """
+
+    DEPTH = 4   # four waiting RIRs of 1 s at 32 kHz are 1 MB of float64
+
+    def __init__(self):
+        self._pending = queue.Queue(maxsize=self.DEPTH)
+        self._error: BaseException | None = None
+        self._dropping = False
+        self._thread = threading.Thread(target=self._run, name="rirdist-wav-writer",
+                                        daemon=True)
+
+    def _run(self) -> None:
+        # keeps taking calls after a failure, so a blocked submit or close never waits forever
+        while (call := self._pending.get()) is not None:
+            if self._error is None and not self._dropping:
+                write, args = call
+                try:
+                    write(*args)
+                except BaseException as exc:   # re-raised on the submitting thread
+                    self._error = exc
+
+    def submit(self, write, *args) -> None:
+        if self._error is not None:
+            raise self._error
+        self._pending.put((write, args))
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._dropping = exc_type is not None
+        self._pending.put(None)
+        self._thread.join()
+        if exc_type is None and self._error is not None:
+            raise self._error
+        return False
+
+
 def cmd_generate(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
@@ -190,20 +240,24 @@ def cmd_generate(args) -> int:
         stage.mkdir()
         try:
             metadata = []
-            for room in rooms:
-                scenes = sample_scenes(room, args.n, seed=_derived_seed(args.seed, room.room_id))
-                for idx, scene in enumerate(scenes):
-                    rir = normalize_rir(synthesize_rir(room, scene, config))
-                    rir_id = f"room{room.room_id}_{idx:04d}"
-                    write_wav(stage / f"{rir_id}.wav", rir.samples, rir.sample_rate)
-                    metadata.append({
-                        "rir_id": rir_id,
-                        "room_id": room.room_id,
-                        "source_pos": list(scene.source_pos),
-                        "receiver_pos": list(scene.receiver_pos),
-                        "norm_gain": float(rir.norm_gain),
-                        "seed": int(room.seed),
-                    })
+            # joined before the metadata is written and before stage is removed
+            with _BackgroundWriter() as writer:
+                for room in rooms:
+                    scenes = sample_scenes(room, args.n,
+                                           seed=_derived_seed(args.seed, room.room_id))
+                    for idx, scene in enumerate(scenes):
+                        rir = normalize_rir(synthesize_rir(room, scene, config))
+                        rir_id = f"room{room.room_id}_{idx:04d}"
+                        writer.submit(write_wav, stage / f"{rir_id}.wav",
+                                      rir.samples, rir.sample_rate)
+                        metadata.append({
+                            "rir_id": rir_id,
+                            "room_id": room.room_id,
+                            "source_pos": list(scene.source_pos),
+                            "receiver_pos": list(scene.receiver_pos),
+                            "norm_gain": float(rir.norm_gain),
+                            "seed": int(room.seed),
+                        })
             write_jsonl(stage / dataio.METADATA_NAME, metadata)
             # manifest last: its presence marks a complete corpus
             write_json(stage / dataio.MANIFEST_NAME, {
@@ -228,10 +282,20 @@ def cmd_generate(args) -> int:
 
 def _corpus_rows(directory: Path) -> Iterator[dict]:
     """Metadata rows of a complete corpus, read one at a time; the manifest
-    must be present and current."""
+    must be present and current, and each row's positions three numbers."""
     manifest = read_json(directory / dataio.MANIFEST_NAME)
     check_schema(manifest, f"manifest in {directory}")
-    return iter_jsonl(directory / dataio.METADATA_NAME)
+    path = directory / dataio.METADATA_NAME
+    return (_checked_positions(row, path) for row in iter_jsonl(path))
+
+
+def _checked_positions(row: dict, path: Path) -> dict:
+    for key in ("source_pos", "receiver_pos"):
+        pos = row.get(key)
+        if not (isinstance(pos, list) and len(pos) == 3 and all(map(_is_real, pos))):
+            raise SchemaMismatchError(f"{path}: row {row.get('rir_id')!r} has {key} "
+                                      f"{pos!r}, not three numbers")
+    return row
 
 
 def _read_recording(directory: Path, row: dict) -> RIRecording:

@@ -4,6 +4,9 @@ import json
 import os
 import shutil
 import socket
+import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +17,7 @@ from rirdist import acoustics, cli, dataio, filtering
 from rirdist.acoustics import EDC_GRID_POINTS, analyze_rir
 from rirdist.cli import main
 from rirdist.estimator import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, extract_features
-from rirdist.synth import SynthesisConfig, builtin_room
+from rirdist.synth import GeometryError, SynthesisConfig, builtin_room
 
 from helpers import (
     GOLDEN_EXPECTED,
@@ -215,6 +218,83 @@ def test_regenerate_after_an_interrupted_larger_run_leaves_no_extra_wavs(tmp_pat
     assert sorted(p.name for p in out.iterdir()) == sorted(
         [dataio.MANIFEST_NAME, dataio.METADATA_NAME, "room1_0000.wav", "room1_0001.wav"])
     assert [p.name for p in tmp_path.iterdir()] == ["corpus"]
+
+
+def test_generate_writes_no_wav_after_a_failed_one(tmp_path, monkeypatch):
+    out = tmp_path / "corpus"
+    assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "3", "--seed", "1"]) == 0
+    before = _snapshot(out)
+    calls = []
+
+    def failing_write_wav(path, samples, sample_rate):
+        calls.append(path)
+        if len(calls) == 3:
+            time.sleep(0.2)   # the RIRs after it are synthesized and waiting meanwhile
+            raise OSError("disk full")
+        dataio.write_wav(path, samples, sample_rate)
+
+    monkeypatch.setattr(cli, "write_wav", failing_write_wav)
+    assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "8", "--seed", "2"]) == 2
+    assert [path.name for path in calls] == [f"room1_000{i}.wav" for i in range(3)]
+    assert _snapshot(out) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus"]
+
+
+def test_background_writer_keeps_order_and_stops_at_a_failure():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # the threads trade the interpreter lock far more often
+    try:
+        done = []
+        with cli._BackgroundWriter() as writer:
+            for i in range(2000):
+                writer.submit(done.append, i)
+        assert done == list(range(2000))
+
+        def append_below_700(i):
+            if i == 700:
+                raise OSError("disk full")
+            done.append(i)
+
+        done.clear()
+        with pytest.raises(OSError, match="disk full"):
+            with cli._BackgroundWriter() as writer:
+                for i in range(2000):
+                    writer.submit(append_below_700, i)
+        assert done == list(range(700))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _slow_write_wav(path, samples, sample_rate):
+    time.sleep(0.05)
+    dataio.write_wav(path, samples, sample_rate)
+
+
+def _fail_synthesis_on_call(monkeypatch, n_call):
+    """Make generate's ``synthesize_rir`` raise on its ``n_call``-th call."""
+    synthesize, calls = cli.synthesize_rir, []
+
+    def failing_synthesize_rir(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == n_call:
+            raise GeometryError("source outside the room")
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "synthesize_rir", failing_synthesize_rir)
+
+
+@pytest.mark.parametrize("failure", [None, "write", "synthesis"])
+def test_generate_leaves_no_thread_behind(tmp_path, monkeypatch, failure):
+    argv = ["generate", "--out", str(tmp_path / "corpus"), "--rooms", "1", "--n", "8"]
+    if failure == "write":
+        _fail_write_wav_after(monkeypatch, 3)
+    elif failure == "synthesis":
+        monkeypatch.setattr(cli, "write_wav", _slow_write_wav)
+        _fail_synthesis_on_call(monkeypatch, 5)
+    before = threading.enumerate()
+    assert main(argv) == (0 if failure is None else 2)
+    assert threading.enumerate() == before
+    assert not list(tmp_path.glob(".corpus.rirdist-new-*"))
 
 
 def test_regenerate_keeps_out_locked_through_the_swap(tmp_path, monkeypatch):
@@ -433,6 +513,33 @@ def test_analyze_respects_output_lock(tmp_path):
     assert main(["analyze", "--in", str(corpus)]) == 2
     assert not (corpus / dataio.METRICS_NAME).exists()
     assert (corpus / dataio.LOCK_FILENAME).exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("analyze", "source_pos", None),
+    ("analyze", "receiver_pos", [1.0, 2.0]),
+    ("analyze", "source_pos", [1.0, "2", 3.0]),
+    ("filter", "source_pos", None),
+    ("train", "receiver_pos", None),
+])
+def test_a_metadata_row_without_positions_is_a_schema_mismatch(pipeline_dirs, tmp_path, capsys,
+                                                                command, key, value):
+    corpus, enroll, _ = pipeline_dirs
+    copy = tmp_path / "corpus"
+    shutil.copytree(corpus, copy)
+    rows = dataio.read_jsonl(copy / dataio.METADATA_NAME)
+    rows[5][key] = value
+    dataio.write_jsonl(copy / dataio.METADATA_NAME, rows)
+    argv = {
+        "analyze": ["analyze", "--in", str(copy), "--out", str(tmp_path / "metrics.jsonl")],
+        "filter": ["filter", "--in", str(copy), "--enrollment", str(enroll),
+                   "--out", str(tmp_path / "filtered")],
+        "train": ["train", "--in", str(copy), "--out", str(tmp_path / "model")],
+    }[command]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert str(copy / dataio.METADATA_NAME) in err and repr(rows[5]["rir_id"]) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
 
 
 # -------------------------------------------------------------------- filter
