@@ -48,16 +48,18 @@ from .dataio import (
 )
 from .estimator import (
     DEFAULT_EPOCH_GRID,
-    DEFAULT_LR_GRID,
+    DEFAULT_STEP_GRID,
     FEATURE_NAMES,
     FEATURE_SCHEMA_VERSION,
     HIST_BIN_WIDTH_M,
     EstimatorModel,
     FeatureVector,
+    TrainConfig,
     evaluate,
     extract_features,
     grid_search,
     histogram_edges,
+    lipschitz_constant,
     split_dataset,
     train,
 )
@@ -70,7 +72,6 @@ from .filtering import (
 )
 from .synth import (
     GeometryError,
-    SceneQuery,
     ShoeboxRoom,
     SynthesisConfig,
     builtin_room,
@@ -539,33 +540,22 @@ def cmd_train(args) -> int:
     pairs = [(fv, dist) for _, fv, dist in fit_pool]
     gs_train, gs_val = split_dataset(pairs, train_fraction=0.8,
                                      seed=_derived_seed(args.seed, "gridsplit"))
-    lr_grid = [float(tok) for tok in args.lr_grid.split(",")]
+    step_grid = [float(tok) for tok in args.step_grid.split(",")]
     epoch_grid = [int(tok) for tok in args.epoch_grid.split(",")]
-    enforce = not args.allow_out_of_range
     try:
-        best, table = grid_search(gs_train, gs_val, lr_grid, epoch_grid, enforce_ranges=enforce)
+        best, table = grid_search(gs_train, gs_val, step_grid, epoch_grid)
     except RuntimeError as exc:
         raise ValueError(str(exc)) from exc
-    model = train(pairs, best, enforce_ranges=enforce)
-    zero_weights_loss = float(np.mean(np.square([dist for _, dist in pairs])))
-    if not model.final_loss <= zero_weights_loss:   # NaN fails this too
-        raise ValueError(
-            f"final fit diverged (lr {best.learning_rate}, {best.epochs} epochs): per-sample "
-            f"loss {model.final_loss:.4g} is above {zero_weights_loss:.4g}, the loss of the "
-            f"zero weights it starts from")
+    # the winner's fraction of 1/L, at the fit pool's own L
+    model = train(pairs, TrainConfig(best.step_fraction / lipschitz_constant(pairs), best.epochs))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with output_lock(out):
         write_json(out / dataio.GRID_NAME, {
             "schema_version": dataio.SCHEMA_VERSION,
-            "best": {"learning_rate": best.learning_rate, "epochs": best.epochs},
-            "cells": [
-                {"learning_rate": cell.learning_rate, "epochs": cell.epochs,
-                 "val_mae_m": cell.val_mae_m, "final_loss": cell.final_loss,
-                 "error": cell.error}
-                for cell in table
-            ],
+            "best": {"step_fraction": best.step_fraction, "epochs": best.epochs},
+            "cells": [dataclasses.asdict(cell) for cell in table],
         })
         write_jsonl(out / dataio.HOLDOUT_NAME,
                     [_with_features({"rir_id": rid, "distance_m": dist}, fv)
@@ -574,7 +564,7 @@ def cmd_train(args) -> int:
         payload.update(model.to_json_dict())
         write_json(out / dataio.MODEL_NAME, payload)
     print(f"trained on {len(fit_pool)} samples "
-          f"(lr {best.learning_rate}, {best.epochs} epochs), "
+          f"(step {best.step_fraction:g}/L, {best.epochs} epochs), "
           f"{len(holdout)} held out -> {out}")
     return 0
 
@@ -766,14 +756,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="split/shuffle seed")
     p.add_argument("--holdout", type=float, default=0.2,
                    help="fraction held out for evaluation (written to holdout.jsonl)")
-    p.add_argument("--lr-grid", default=",".join(str(v) for v in DEFAULT_LR_GRID),
-                   help="comma-separated learning rates")
+    p.add_argument("--step-grid", default=",".join(f"{v:g}" for v in DEFAULT_STEP_GRID),
+                   help="comma-separated steps in units of 1/L, which converge below 2 "
+                        "(default %(default)s)")
     p.add_argument("--epoch-grid", default=",".join(str(v) for v in DEFAULT_EPOCH_GRID),
-                   help="comma-separated epoch counts")
+                   help="comma-separated epoch counts (default %(default)s)")
     p.add_argument("--rooms", default=None,
                    help="optional room subset to train on (same syntax as generate)")
-    p.add_argument("--allow-out-of-range", action="store_true",
-                   help="permit hyperparameters outside the supported ranges")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a feature dataset")

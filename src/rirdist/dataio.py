@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import socket
 import struct
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -230,7 +229,7 @@ class output_lock:
         """Remove the lock file if ``owner`` is a dead process of this host."""
         fields = owner.split()
         if not (len(fields) == 2 and fields[0].isdecimal()
-                and fields[1] == socket.gethostname() and pid_is_dead(int(fields[0]))):
+                and fields[1] == os.uname().nodename and pid_is_dead(int(fields[0]))):
             return False
         # of two runs reclaiming one stale lock, only one can move it aside
         grabbed = self.path.with_name(f"{self.path.name}.stale-{os.getpid()}")
@@ -257,7 +256,7 @@ class output_lock:
                         f"run may be writing here (delete it if that run is dead)"
                     ) from None
         try:
-            os.write(self._fd, f"{os.getpid()} {socket.gethostname()}\n".encode())
+            os.write(self._fd, f"{os.getpid()} {os.uname().nodename}\n".encode())
         except OSError:
             self.__exit__()
             raise

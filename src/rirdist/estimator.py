@@ -1,12 +1,13 @@
 """Linear speaker-distance estimation from RIR descriptors.
 
 A five-descriptor feature vector (plus bias) feeds a standardized linear
-model trained by full-batch gradient descent on the squared-error
-objective. Training is deliberately boring: zero initialization and a
-fixed epoch count, so every run is exactly reproducible; the update uses
-the gradient of the summed squared error, which is what lets the small
-supported learning-rate range actually converge on dataset-sized
-problems. Reported losses are per-sample (mean squared error).
+model trained by full-batch gradient descent on the summed squared error,
+from zero weights for a fixed epoch count, so every run is reproducible.
+The grid search sets steps in units of 1/L, L the Lipschitz constant of
+that gradient, so they converge at any dataset size (Boyd & Vandenberghe,
+*Convex Optimization*, section 9.3); a fit that ends above the loss it
+started from is refused as diverged. Losses are per-sample (mean squared
+error).
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ FEATURE_NAMES = (
 )
 FEATURE_SCHEMA_VERSION = 1
 
-LEARNING_RATE_RANGE = (1e-5, 1e-3)
-EPOCH_RANGE = (5, 50)
-DEFAULT_LR_GRID = (1e-5, 1e-4, 1e-3)
-DEFAULT_EPOCH_GRID = (5, 10, 20, 50)
+DEFAULT_STEP_GRID = (0.25, 0.5, 1.0)     # fractions of 1/L
+DEFAULT_EPOCH_GRID = (10, 50, 200)
 
 DISTANCE_BUCKETS = ((0.0, 1.0), (1.0, 3.0), (3.0, 5.0), (5.0, math.inf))
 HIST_BIN_WIDTH_M = 0.5
@@ -155,32 +154,11 @@ def extract_features(metrics: AcousticMetrics) -> FeatureVector:
     )
 
 
-def _stack(dataset: Sequence[tuple[FeatureVector, float]]) -> tuple[np.ndarray, np.ndarray]:
-    features = np.stack([pair[0].as_array() for pair in dataset])
-    targets = np.asarray([float(pair[1]) for pair in dataset])
-    return features, targets
-
-
 def sse_loss_and_gradient(features: np.ndarray, targets: np.ndarray,
                           weights: np.ndarray) -> tuple[float, np.ndarray]:
     """Summed squared error and its analytic gradient 2 X^T (Xw - y)."""
     residual = features @ weights - targets
     return float(residual @ residual), 2.0 * (features.T @ residual)
-
-
-def _check_ranges(config: TrainConfig) -> None:
-    lo, hi = LEARNING_RATE_RANGE
-    if not lo <= config.learning_rate <= hi:
-        raise ValueError(
-            f"learning_rate {config.learning_rate} outside [{lo}, {hi}] "
-            f"(pass enforce_ranges=False to override)"
-        )
-    lo, hi = EPOCH_RANGE
-    if not lo <= config.epochs <= hi:
-        raise ValueError(
-            f"epochs {config.epochs} outside [{lo}, {hi}] "
-            f"(pass enforce_ranges=False to override)"
-        )
 
 
 def standardize_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,39 +182,58 @@ def standardize_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return means, stds
 
 
-def train(dataset: Sequence[tuple[FeatureVector, float]], config: TrainConfig,
-          *, enforce_ranges: bool = True) -> EstimatorModel:
+def _standardized(dataset: Sequence[tuple[FeatureVector, float]]):
+    """Standardized design matrix, targets and the column stats behind them."""
+    if len(dataset) == 0:
+        raise ValueError("training dataset is empty")
+    features = np.stack([pair[0].as_array() for pair in dataset])
+    targets = np.asarray([float(pair[1]) for pair in dataset])
+    means, stds = standardize_stats(features)
+    return (features - means) / stds, targets, means, stds
+
+
+def lipschitz_constant(dataset: Sequence[tuple[FeatureVector, float]]) -> float:
+    """L = 2 lambda_max(Z^T Z) of the standardized design Z that :func:`train`
+    fits: a ``learning_rate`` of f / L converges for every 0 < f < 2, at any
+    dataset size. The bias column keeps L at 2n or above."""
+    design, _, _, _ = _standardized(dataset)
+    return 2.0 * float(np.linalg.eigvalsh(design.T @ design)[-1])
+
+
+def train(dataset: Sequence[tuple[FeatureVector, float]], config: TrainConfig) -> EstimatorModel:
     """Fit the linear model by full-batch gradient descent.
 
     Runs exactly ``config.epochs`` update steps from zero weights on the
-    standardized design matrix; each step follows the gradient of the
-    summed squared error (the effective step therefore scales with the
-    dataset size). The supported hyperparameter ranges are enforced
-    unless ``enforce_ranges=False``.
+    standardized design matrix; each step is ``config.learning_rate`` times
+    the gradient of the summed squared error, so the same rate takes larger
+    steps on larger datasets (:func:`lipschitz_constant` gives the scale).
+    Raises ``ValueError`` when the fit diverged: its final loss is not finite
+    or lies above the loss of the zero weights it starts from.
     """
-    if len(dataset) == 0:
-        raise ValueError("training dataset is empty")
     if config.epochs < 0:
         raise ValueError("epochs must be non-negative")
-    if enforce_ranges:
-        _check_ranges(config)
+    design, targets, means, stds = _standardized(dataset)
 
-    features, targets = _stack(dataset)
-    means, stds = standardize_stats(features)
-    design = (features - means) / stds
-
-    weights = np.zeros(features.shape[1])
+    # the gradient 2 Z^T (Zw - y) as 2 (Z^T Z w - Z^T y): each step costs 6 x 6, not n x 6
+    gram, moment = design.T @ design, design.T @ targets
+    weights = np.zeros(design.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
-            _, gradient = sse_loss_and_gradient(design, targets, weights)
-            weights = weights - config.learning_rate * gradient
+            weights = weights - config.learning_rate * (2.0 * (gram @ weights - moment))
         final_sse, _ = sse_loss_and_gradient(design, targets, weights)
+    final_loss = final_sse / len(dataset)
+    zero_weights_loss = float(targets @ targets) / len(dataset)
+    if not final_loss <= zero_weights_loss:   # NaN fails this too
+        raise ValueError(
+            f"fit diverged (lr {config.learning_rate:.4g}, {config.epochs} epochs): per-sample "
+            f"loss {final_loss:.4g} is above {zero_weights_loss:.4g}, the loss of the zero "
+            f"weights it starts from")
     return EstimatorModel(
         weights=weights,
         feature_means=means,
         feature_stds=stds,
         train_config=config,
-        final_loss=final_sse / len(dataset),
+        final_loss=final_loss,
     )
 
 
@@ -322,7 +319,8 @@ def evaluate(model: EstimatorModel,
 
 @dataclass(frozen=True)
 class GridCell:
-    learning_rate: float
+    step_fraction: float        # the step in units of 1/L of the training split
+    learning_rate: float        # the absolute step that fraction came to
     epochs: int
     val_mae_m: float | None
     final_loss: float | None
@@ -331,35 +329,36 @@ class GridCell:
 
 def grid_search(train_set: Sequence[tuple[FeatureVector, float]],
                 val_set: Sequence[tuple[FeatureVector, float]],
-                lr_grid: Sequence[float] = DEFAULT_LR_GRID,
-                epoch_grid: Sequence[int] = DEFAULT_EPOCH_GRID,
-                *, enforce_ranges: bool = True) -> tuple[TrainConfig, list[GridCell]]:
-    """Exhaustive sweep over the (learning rate, epochs) grid.
+                step_grid: Sequence[float] = DEFAULT_STEP_GRID,
+                epoch_grid: Sequence[int] = DEFAULT_EPOCH_GRID) -> tuple[GridCell, list[GridCell]]:
+    """Exhaustive sweep over the (step fraction, epochs) grid.
 
-    Returns the winning config plus the full audit table. A cell that
-    blows up (divergence, non-finite validation error) is recorded with
-    its error and skipped during selection; ties break toward fewer
-    epochs, then the smaller learning rate.
+    Each step fraction f trains at ``learning_rate`` f / L, with L the
+    :func:`lipschitz_constant` of ``train_set``. Returns the winning cell
+    plus the full audit table. A cell that blows up (divergence,
+    non-finite validation error) is recorded with its error and skipped
+    during selection; ties break toward fewer epochs, then the smaller step.
     """
-    if len(lr_grid) == 0 or len(epoch_grid) == 0:
+    if len(step_grid) == 0 or len(epoch_grid) == 0:
         raise ValueError("both grids must be non-empty")
+    lipschitz = lipschitz_constant(train_set)
     cells: list[GridCell] = []
     best: tuple | None = None
-    for lr in lr_grid:
+    for fraction in step_grid:
         for epochs in epoch_grid:
-            config = TrainConfig(learning_rate=float(lr), epochs=int(epochs))
+            lr = float(fraction) / lipschitz
             try:
-                model = train(train_set, config, enforce_ranges=enforce_ranges)
+                model = train(train_set, TrainConfig(learning_rate=lr, epochs=int(epochs)))
                 val_mae = _validation_mae(model, val_set)
                 if not math.isfinite(val_mae):
                     raise ArithmeticError(f"non-finite validation MAE {val_mae}")
             except Exception as exc:   # a broken cell must not sink the sweep
-                cells.append(GridCell(float(lr), int(epochs), None, None, str(exc)))
+                cells.append(GridCell(float(fraction), lr, int(epochs), None, None, str(exc)))
                 continue
-            cells.append(GridCell(float(lr), int(epochs), val_mae, model.final_loss))
-            key = (val_mae, int(epochs), float(lr))
+            cells.append(GridCell(float(fraction), lr, int(epochs), val_mae, model.final_loss))
+            key = (val_mae, int(epochs), lr)
             if best is None or key < best[0]:
-                best = (key, config)
+                best = (key, cells[-1])
     if best is None:
         raise RuntimeError(f"every grid cell failed (first error: {cells[0].error})")
     return best[1], cells

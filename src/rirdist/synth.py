@@ -12,6 +12,7 @@ deterministic function of (room, query).
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +220,9 @@ def _tail_rng(room: ShoeboxRoom, query: SceneQuery) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
+_tail_noise = threading.local()   # one reused noise buffer per synthesizing thread
+
+
 def synthesize_rir(room: ShoeboxRoom, query: SceneQuery,
                    config: SynthesisConfig = DEFAULT_CONFIG) -> RIRecording:
     """Full hybrid impulse response: image-source early part plus diffuse tail.
@@ -247,9 +251,12 @@ def synthesize_rir(room: ShoeboxRoom, query: SceneQuery,
         mean_square = float(body @ body) / body.size * decay ** 2
 
     _, _, envelope = _room_plan(room, config)
-    noise = _tail_rng(room, query).standard_normal(n - n_cross)
-    # built in place: a full-length temporary would be handed back to the
-    # kernel on free and faulted in again for the next RIR
+    # noise and tail reuse memory: a full-length temporary per RIR would be
+    # handed back to the kernel on free and faulted in again for the next RIR
+    noise = getattr(_tail_noise, "buffer", None)
+    if noise is None or noise.size != n - n_cross:
+        noise = _tail_noise.buffer = np.empty(n - n_cross)
+    _tail_rng(room, query).standard_normal(out=noise)
     tail = early.samples[n_cross:]
     np.multiply(envelope, np.sqrt(mean_square), out=tail)
     tail *= noise

@@ -677,15 +677,15 @@ import resource, sys
 import numpy as np
 from rirdist import synth
 from rirdist.acoustics import RIRecording, analyze_rir
+t = np.arange(32000) / 32000
+rirs = [RIRecording(samples=np.random.default_rng(seed).standard_normal(t.size) * np.exp(-t / 0.1))
+        for seed in range(4)]
+room = synth.builtin_room(1)
+scenes = synth.sample_scenes(room, 4, seed=0)
 if sys.argv[1] == "generate":
-    room = synth.builtin_room(1)
-    scenes = synth.sample_scenes(room, 4, seed=0)
     def kernel(i):
         return synth.normalize_rir(synth.synthesize_rir(room, scenes[i % 4]))
 else:
-    t = np.arange(32000) / 32000
-    rirs = [RIRecording(samples=np.random.default_rng(seed).standard_normal(t.size) * np.exp(-t / 0.1))
-            for seed in range(4)]
     def kernel(i):
         return analyze_rir(rirs[i % 4])
 kernel(0)
@@ -708,18 +708,21 @@ def test_descriptor_pass_does_not_fault_per_rir(kernel):
     per RIR with one array per step (x86-64 Linux, glibc's default malloc
     thresholds), against none once the curve is built in place. The
     synthesis kernel, with its tail built from two full-length products,
-    made about 80 per RIR before the tail was written in place. The probe
-    runs in a fresh interpreter, as a CLI stage does,
-    because the test process's allocator state (its thresholds rise with
-    the large blocks earlier tests freed) hides the faults. For the same
-    reason it builds only the chosen kernel's inputs: ``generate`` keeps
-    two full-length arrays alive at its peak (the synthesized RIR and its
-    normalized copy), right at glibc's trim threshold, so descriptor test
-    signals allocated first can tip it into trimming again.
+    made about 80 per RIR before the tail was written in place, and about
+    100 while it drew a fresh noise array per RIR after these descriptor
+    test signals had been allocated. The probe runs in a fresh
+    interpreter, as a CLI stage does, because the test process's
+    allocator state (its thresholds rise with the large blocks earlier
+    tests freed) hides the faults. The size of the environment moves the
+    heap layout too, so the probe runs with 0 to 3 padding variables:
+    layout luck shows as a failure, not as a pass.
     """
     src = str(Path(rirdist.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE, kernel], env=env,
-                           capture_output=True, text=True, timeout=120, check=True)
-    assert float(probe.stdout) < 40
+    for pad in range(4):
+        padding = {f"RIRDIST_FAULT_PROBE_PAD_{i}": "x" for i in range(pad)}
+        probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE, kernel],
+                               env={**env, **padding}, capture_output=True, text=True,
+                               timeout=120, check=True)
+        assert float(probe.stdout) < 40, f"{pad} padding variables"

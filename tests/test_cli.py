@@ -76,7 +76,7 @@ def pipeline_dirs(tmp_path_factory):
     assert main(["analyze", "--in", str(corpus)]) == 0
     assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll)]) == 0
     assert main(["train", "--in", str(corpus), "--out", str(model_dir),
-                 "--seed", "3", "--lr-grid", "1e-4", "--epoch-grid", "5,10"]) == 0
+                 "--seed", "3", "--step-grid", "1", "--epoch-grid", "5,10"]) == 0
     return corpus, enroll, model_dir
 
 
@@ -361,7 +361,7 @@ def test_regenerate_removes_stale_filter_outputs(pipeline_dirs, tmp_path):
     for name in (dataio.METRICS_NAME, dataio.DECISIONS_NAME, dataio.SUMMARY_NAME):
         assert not (corpus / name).exists(), name
     assert main(_train_argv(corpus, tmp_path / "model",
-                            "--lr-grid", "1e-4", "--epoch-grid", "5")) == 3
+                            "--step-grid", "1", "--epoch-grid", "5")) == 3
 
 
 @pytest.mark.parametrize("rooms", ["1,1", "profile"])
@@ -741,7 +741,7 @@ def test_filter_refuses_the_metrics_of_a_foreign_corpus(golden_dirs, tmp_path):
 def test_pipeline_train_outputs(pipeline_dirs):
     _, _, model_dir = pipeline_dirs
     grid = dataio.read_json(model_dir / dataio.GRID_NAME)
-    assert grid["best"]["learning_rate"] == 1e-4
+    assert grid["best"]["step_fraction"] == 1.0
     assert grid["best"]["epochs"] in (5, 10)
     assert len(grid["cells"]) == 2
     assert all(cell["error"] is None for cell in grid["cells"])
@@ -858,7 +858,7 @@ def test_filter_and_train_do_one_descriptor_pass_per_rir(pipeline_dirs, tmp_path
     assert 0 < accepted < n_corpus
     assert main(["train", "--in", str(corpus), "--decisions", str(decisions),
                  "--out", str(tmp_path / "model"), "--seed", "3",
-                 "--lr-grid", "1e-4", "--epoch-grid", "5"]) == 0
+                 "--step-grid", "1", "--epoch-grid", "5"]) == 0
     assert (len(wav_reads), len(edc_calls)) == (n_corpus + n_enroll, n_corpus + n_enroll)
 
 
@@ -886,7 +886,7 @@ def test_train_refuses_decisions_of_another_corpus(pipeline_dirs, tmp_path):
                  "--n", "16", "--seed", "4"]) == 0
     out = tmp_path / "model"
     assert main(_train_argv(other, out, "--decisions", str(corpus / dataio.DECISIONS_NAME),
-                            "--lr-grid", "1e-4", "--epoch-grid", "5")) == 4
+                            "--step-grid", "1", "--epoch-grid", "5")) == 4
     assert not out.exists()
 
 
@@ -898,26 +898,50 @@ def test_train_refuses_decisions_that_do_not_cover_the_corpus(pipeline_dirs, tmp
         decisions = tmp_path / "decisions.jsonl"
         dataio.write_jsonl(decisions, cut)
         assert main(_train_argv(corpus, out, "--decisions", str(decisions),
-                                "--lr-grid", "1e-4", "--epoch-grid", "5")) == 4
+                                "--step-grid", "1", "--epoch-grid", "5")) == 4
         assert not out.exists()
 
 
 def test_train_with_every_grid_cell_failing_exits_2(pipeline_dirs, tmp_path, capsys):
+    """Steps of 5/L diverge, and of 1e300/L overflow: each cell is refused as diverged."""
     corpus, _, _ = pipeline_dirs
     out = tmp_path / "model"
-    assert main(_train_argv(corpus, out, "--allow-out-of-range",
-                            "--lr-grid", "1e300", "--epoch-grid", "50")) == 2
-    assert "every grid cell failed" in capsys.readouterr().err
+    assert main(_train_argv(corpus, out, "--step-grid", "5,1e300", "--epoch-grid", "50")) == 2
+    err = capsys.readouterr().err
+    assert "every grid cell failed" in err and "diverged" in err
     assert not out.exists()
 
 
-def test_train_refuses_a_diverged_final_fit(pipeline_dirs, tmp_path, capsys):
-    corpus, _, _ = pipeline_dirs
-    out = tmp_path / "model"
-    assert main(_train_argv(corpus, out, "--allow-out-of-range",
-                            "--lr-grid", "0.1", "--epoch-grid", "5")) == 2
-    assert "final fit diverged" in capsys.readouterr().err
-    assert not out.exists()
+def test_an_absolute_learning_rate_grid_is_a_usage_error(tmp_path):
+    """Steps are fractions of 1/L now; an old ``--lr-grid 1e-4`` is refused,
+    not read as a step of 1e-4 / L."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(_train_argv(tmp_path, tmp_path / "model", "--lr-grid", "1e-4"))
+    assert excinfo.value.code == 2
+
+
+def test_train_converges_where_a_fixed_rate_diverged(tmp_path):
+    """Rooms 1-20 x 30 scenes at seed 7: a fixed learning rate of 1e-3 won the
+    grid on the 80 % split and then diverged on the whole fit pool, whose
+    larger row count made its summed-squared-error step larger. Steps in
+    units of each dataset's own 1/L converge on both."""
+    corpus, enroll, out = tmp_path / "corpus", tmp_path / "enroll", tmp_path / "model"
+    assert main(["generate", "--out", str(corpus), "--rooms", "1-20", "--n", "30",
+                 "--seed", "7"]) == 0
+    assert main(["generate", "--out", str(enroll), "--rooms", "1-20", "--n", "20",
+                 "--seed", "1007"]) == 0
+    assert main(["analyze", "--in", str(corpus)]) == 0
+    assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll)]) == 0
+    assert main(["train", "--in", str(corpus), "--out", str(out), "--seed", "7",
+                 "--holdout", "0.2"]) == 0
+
+    grid = dataio.read_json(out / dataio.GRID_NAME)
+    assert all(cell["error"] is None for cell in grid["cells"])   # none diverged
+    held = {row["rir_id"] for row in dataio.read_jsonl(out / dataio.HOLDOUT_NAME)}
+    pool = [row["distance_m"] for row in dataio.read_jsonl(corpus / dataio.DECISIONS_NAME)
+            if row["accepted"] and row["rir_id"] not in held]
+    zero_weights_loss = float(np.mean(np.square(pool)))
+    assert dataio.read_json(out / dataio.MODEL_NAME)["final_loss"] <= zero_weights_loss
 
 
 def test_train_without_decisions_is_missing_data(tmp_path):
@@ -983,5 +1007,5 @@ def test_train_room_subset(pipeline_dirs, tmp_path):
     corpus, _, _ = pipeline_dirs
     out = tmp_path / "subset_model"
     assert main(["train", "--in", str(corpus), "--out", str(out), "--seed", "3",
-                 "--rooms", "1-2", "--lr-grid", "1e-4", "--epoch-grid", "5"]) == 0
+                 "--rooms", "1-2", "--step-grid", "1", "--epoch-grid", "5"]) == 0
     assert (out / dataio.MODEL_NAME).exists()

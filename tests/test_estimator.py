@@ -8,7 +8,7 @@ import pytest
 from rirdist.acoustics import InsufficientDecayError, RIRecording, analyze_rir
 from rirdist.estimator import (
     DEFAULT_EPOCH_GRID,
-    DEFAULT_LR_GRID,
+    DEFAULT_STEP_GRID,
     FEATURE_NAMES,
     FEATURE_SCHEMA_VERSION,
     EstimatorModel,
@@ -17,6 +17,7 @@ from rirdist.estimator import (
     evaluate,
     extract_features,
     grid_search,
+    lipschitz_constant,
     predict,
     split_dataset,
     sse_loss_and_gradient,
@@ -158,16 +159,31 @@ def test_train_rejects_bad_input():
     with pytest.raises(ValueError):
         train([], TrainConfig(1e-4, 10))
     with pytest.raises(ValueError, match="epochs"):
-        train(data, TrainConfig(1e-4, 0))
-    with pytest.raises(ValueError, match="learning_rate"):
+        train(data, TrainConfig(1e-4, -1))
+    with pytest.raises(ValueError, match="diverged"):
         train(data, TrainConfig(0.5, 10))
-    with pytest.raises(ValueError):
-        train(data, TrainConfig(1e-4, -1), enforce_ranges=False)
 
 
-def test_train_zero_epochs_without_enforcement_keeps_zero_weights():
+@pytest.mark.parametrize("fraction, diverges", [(1.9, False), (2.1, True)])
+def test_train_converges_below_two_over_lipschitz_and_diverges_above(fraction, diverges):
+    """The summed-squared-error gradient is L-Lipschitz: a step below 2/L
+    converges at any dataset size, and a step above it diverges."""
+    for n in (10, 100, 1000):
+        data = random_dataset(n, seed=n, noise=0.3)
+        config = TrainConfig(fraction / lipschitz_constant(data), 500)
+        if diverges:
+            with pytest.raises(ValueError, match="diverged"):
+                train(data, config)
+            continue
+        model = train(data, config)
+        reference, *_ = np.linalg.lstsq(_design(data, model),
+                                        np.asarray([t for _, t in data]), rcond=None)
+        assert np.linalg.norm(model.weights - reference) <= 1e-2 * np.linalg.norm(reference)
+
+
+def test_train_zero_epochs_keeps_zero_weights():
     data = random_dataset(10, seed=0)
-    model = train(data, TrainConfig(1e-4, 0), enforce_ranges=False)
+    model = train(data, TrainConfig(1e-4, 0))
     np.testing.assert_array_equal(model.weights, np.zeros(6))
     targets = np.asarray([t for _, t in data])
     assert model.final_loss == pytest.approx(float(np.mean(targets ** 2)))
@@ -222,7 +238,7 @@ def test_single_sample_is_interpolated_exactly():
     pair = (fv(5.0, -0.5, 8.0, 12.0, -30.0), 2.75)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # every column is degenerate with n=1
-        model = train([pair], TrainConfig(0.4, 60), enforce_ranges=False)
+        model = train([pair], TrainConfig(0.4, 60))
     assert predict(model, pair[0]) == pytest.approx(2.75, abs=1e-12)
 
 
@@ -334,17 +350,18 @@ def test_evaluate_rejects_bad_input():
 
 def test_grid_search_singleton():
     data = random_dataset(30, seed=10, noise=0.2)
-    best, cells = grid_search(data[:24], data[24:], lr_grid=(1e-4,), epoch_grid=(10,))
-    assert best == TrainConfig(1e-4, 10)
-    assert len(cells) == 1 and cells[0].error is None
+    best, cells = grid_search(data[:24], data[24:], step_grid=(0.5,), epoch_grid=(10,))
+    assert (best.step_fraction, best.epochs) == (0.5, 10)
+    assert best.learning_rate == 0.5 / lipschitz_constant(data[:24])
+    assert cells == [best] and best.error is None
 
 
 def test_grid_search_selects_minimum_cell():
     data = random_dataset(50, seed=11, noise=0.3)
     train_set, val_set = data[:40], data[40:]
     best, cells = grid_search(train_set, val_set,
-                              lr_grid=DEFAULT_LR_GRID, epoch_grid=DEFAULT_EPOCH_GRID)
-    assert len(cells) == len(DEFAULT_LR_GRID) * len(DEFAULT_EPOCH_GRID)
+                              step_grid=DEFAULT_STEP_GRID, epoch_grid=DEFAULT_EPOCH_GRID)
+    assert len(cells) == len(DEFAULT_STEP_GRID) * len(DEFAULT_EPOCH_GRID)
     ok = [c for c in cells if c.error is None]
     winner = min(ok, key=lambda c: (c.val_mae_m, c.epochs, c.learning_rate))
     assert (best.learning_rate, best.epochs) == (winner.learning_rate, winner.epochs)
@@ -357,27 +374,28 @@ def test_grid_search_tie_breaks_toward_cheaper_configs():
         best, cells = grid_search(data[:15], data[15:])
     assert all(cell.val_mae_m == 0.0 for cell in cells)   # zero targets: every cell ties
     assert best.epochs == min(DEFAULT_EPOCH_GRID)
-    assert best.learning_rate == min(DEFAULT_LR_GRID)
+    assert best.step_fraction == min(DEFAULT_STEP_GRID)
 
 
+# At a step of 1e6 / L these 15 rows end 50 epochs with an infinite loss, but
+# with weights that still give a finite validation MAE (about 1.1e299), so only
+# the loss shows the divergence.
 def test_grid_search_records_failed_cells():
-    data = random_dataset(30, seed=13, noise=0.2)
-    best, cells = grid_search(data[:24], data[24:], lr_grid=(1e6, 1e-4),
-                              epoch_grid=(50,), enforce_ranges=False)
-    by_lr = {cell.learning_rate: cell for cell in cells}
-    assert by_lr[1e6].error is not None
-    assert by_lr[1e6].val_mae_m is None
-    assert by_lr[1e-4].error is None
-    assert best.learning_rate == 1e-4
+    data = random_dataset(20, seed=14)
+    best, cells = grid_search(data[:15], data[15:], step_grid=(1e6, 0.5), epoch_grid=(50,))
+    by_step = {cell.step_fraction: cell for cell in cells}
+    assert "diverged" in by_step[1e6].error
+    assert by_step[1e6].val_mae_m is None and by_step[1e6].final_loss is None
+    assert by_step[0.5].error is None
+    assert best.step_fraction == 0.5
 
 
 def test_grid_search_all_cells_failing_raises():
     data = random_dataset(20, seed=14)
-    with pytest.raises(RuntimeError):
-        grid_search(data[:15], data[15:], lr_grid=(1e6,), epoch_grid=(50,),
-                    enforce_ranges=False)
+    with pytest.raises(RuntimeError, match="diverged"):
+        grid_search(data[:15], data[15:], step_grid=(1e6,), epoch_grid=(50,))
     with pytest.raises(ValueError):
-        grid_search(data[:15], data[15:], lr_grid=(), epoch_grid=(10,))
+        grid_search(data[:15], data[15:], step_grid=(), epoch_grid=(10,))
 
 
 # ------------------------------------------------------------------ splitting
