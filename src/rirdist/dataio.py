@@ -155,17 +155,20 @@ def write_jsonl(path: Path | str, rows: Iterable[dict]) -> None:
 
 
 def iter_jsonl(path: Path | str) -> Iterator[dict]:
-    """The rows of a JSON-lines file, parsed one line at a time."""
+    """The rows of a JSON-lines file, parsed one line at a time; a line that is
+    not JSON raises ``ValueError`` naming ``<path>:<line number>``."""
     path = Path(path)
     try:
         handle = open(path)
     except FileNotFoundError:
         raise MissingDataError(f"expected file not found: {path}") from None
     with handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        for number, line in enumerate(handle, 1):
+            if line.strip():
+                try:
+                    yield json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
 
 
 def read_jsonl(path: Path | str) -> list[dict]:
@@ -212,10 +215,13 @@ class output_lock:
     names the run that left it. A lock whose owner is a dead process of
     this host, a run that was killed, is removed and taken over; any other
     existing lock, one of another host or one that names no owner, blocks.
+    A missing directory is made, and removed again if the block raises
+    and leaves it empty.
     """
 
     def __init__(self, directory: Path | str):
-        self.path = Path(directory) / LOCK_FILENAME
+        self.directory = Path(directory)
+        self.path = self.directory / LOCK_FILENAME
         self._fd = None
 
     @staticmethod
@@ -244,6 +250,8 @@ class output_lock:
         return True
 
     def __enter__(self):
+        self._made = not self.directory.is_dir()
+        self.directory.mkdir(parents=True, exist_ok=True)
         while True:
             try:
                 self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -262,8 +270,11 @@ class output_lock:
             raise
         return self
 
-    def __exit__(self, *exc_info):
+    def __exit__(self, exc_type=None, *exc_info):
         if self._fd is not None:
             os.close(self._fd)
             self.path.unlink(missing_ok=True)
+        if exc_type is not None and self._made:
+            with contextlib.suppress(OSError):   # not empty: leave it
+                self.directory.rmdir()
         return False

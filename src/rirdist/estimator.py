@@ -182,22 +182,30 @@ def standardize_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return means, stds
 
 
+def _stacked(dataset: Sequence[tuple[FeatureVector, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix and targets of ``dataset``, one row per pair."""
+    features = np.stack([pair[0].as_array() for pair in dataset])
+    return features, np.asarray([float(pair[1]) for pair in dataset])
+
+
 def _standardized(dataset: Sequence[tuple[FeatureVector, float]]):
     """Standardized design matrix, targets and the column stats behind them."""
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
-    features = np.stack([pair[0].as_array() for pair in dataset])
-    targets = np.asarray([float(pair[1]) for pair in dataset])
+    features, targets = _stacked(dataset)
     means, stds = standardize_stats(features)
     return (features - means) / stds, targets, means, stds
+
+
+def _lipschitz(design: np.ndarray) -> float:
+    return 2.0 * float(np.linalg.eigvalsh(design.T @ design)[-1])
 
 
 def lipschitz_constant(dataset: Sequence[tuple[FeatureVector, float]]) -> float:
     """L = 2 lambda_max(Z^T Z) of the standardized design Z that :func:`train`
     fits: a ``learning_rate`` of f / L converges for every 0 < f < 2, at any
     dataset size. The bias column keeps L at 2n or above."""
-    design, _, _, _ = _standardized(dataset)
-    return 2.0 * float(np.linalg.eigvalsh(design.T @ design)[-1])
+    return _lipschitz(_standardized(dataset)[0])
 
 
 def train(dataset: Sequence[tuple[FeatureVector, float]], config: TrainConfig) -> EstimatorModel:
@@ -210,10 +218,14 @@ def train(dataset: Sequence[tuple[FeatureVector, float]], config: TrainConfig) -
     Raises ``ValueError`` when the fit diverged: its final loss is not finite
     or lies above the loss of the zero weights it starts from.
     """
+    return _descend(_standardized(dataset), config)
+
+
+def _descend(standardized: tuple, config: TrainConfig) -> EstimatorModel:
+    """:func:`train` on the output of :func:`_standardized`, which it does not modify."""
     if config.epochs < 0:
         raise ValueError("epochs must be non-negative")
-    design, targets, means, stds = _standardized(dataset)
-
+    design, targets, means, stds = standardized
     # the gradient 2 Z^T (Zw - y) as 2 (Z^T Z w - Z^T y): each step costs 6 x 6, not n x 6
     gram, moment = design.T @ design, design.T @ targets
     weights = np.zeros(design.shape[1])
@@ -221,8 +233,8 @@ def train(dataset: Sequence[tuple[FeatureVector, float]], config: TrainConfig) -
         for _ in range(config.epochs):
             weights = weights - config.learning_rate * (2.0 * (gram @ weights - moment))
         final_sse, _ = sse_loss_and_gradient(design, targets, weights)
-    final_loss = final_sse / len(dataset)
-    zero_weights_loss = float(targets @ targets) / len(dataset)
+    final_loss = final_sse / len(targets)
+    zero_weights_loss = float(targets @ targets) / len(targets)
     if not final_loss <= zero_weights_loss:   # NaN fails this too
         raise ValueError(
             f"fit diverged (lr {config.learning_rate:.4g}, {config.epochs} epochs): per-sample "
@@ -244,30 +256,20 @@ def predict(model: EstimatorModel, features: FeatureVector) -> float:
     would otherwise hide a diverged model behind an innocent 0.0), so
     downstream finiteness guards can see them.
     """
-    x = features.as_array()
-    if x.shape != model.weights.shape:
+    return float(_predicted(model, features.as_array()[np.newaxis])[0])
+
+
+def _predicted(model: EstimatorModel, features: np.ndarray) -> np.ndarray:
+    """:func:`predict` for each row of ``features``: one dot product per row, so
+    every prediction has the same bits as :func:`predict` gives it alone."""
+    if features.shape[1] != model.weights.shape[0]:
         raise ValueError(
-            f"feature dimension {x.shape[0]} does not match model "
+            f"feature dimension {features.shape[1]} does not match model "
             f"dimension {model.weights.shape[0]}"
         )
-    z = (x - model.feature_means) / model.feature_stds
-    raw = float(z @ model.weights)
-    if not math.isfinite(raw):
-        return raw
-    return max(0.0, raw)
-
-
-def _predictions(model: EstimatorModel,
-                 dataset: Sequence[tuple[FeatureVector, float]]) -> tuple[np.ndarray, np.ndarray]:
-    truths = np.asarray([float(pair[1]) for pair in dataset])
-    preds = np.asarray([predict(model, pair[0]) for pair in dataset])
-    return truths, preds
-
-
-def _validation_mae(model: EstimatorModel,
-                    dataset: Sequence[tuple[FeatureVector, float]]) -> float:
-    truths, preds = _predictions(model, dataset)
-    return float(np.mean(np.abs(preds - truths)))
+    z = (features - model.feature_means) / model.feature_stds
+    raw = [float(row @ model.weights) for row in z]
+    return np.asarray([value if not math.isfinite(value) else max(0.0, value) for value in raw])
 
 
 def histogram_edges(top_m: float) -> np.ndarray:
@@ -283,7 +285,8 @@ def evaluate(model: EstimatorModel,
     """MAE, Pearson correlation, per-range MAE, and 0.5 m histograms."""
     if len(testset) == 0:
         raise ValueError("evaluation set is empty")
-    truths, preds = _predictions(model, testset)
+    features, truths = _stacked(testset)
+    preds = _predicted(model, features)
     if not np.all(np.isfinite(preds)):
         raise ValueError("model produced non-finite predictions")
     residuals = preds - truths
@@ -341,15 +344,17 @@ def grid_search(train_set: Sequence[tuple[FeatureVector, float]],
     """
     if len(step_grid) == 0 or len(epoch_grid) == 0:
         raise ValueError("both grids must be non-empty")
-    lipschitz = lipschitz_constant(train_set)
+    split = _standardized(train_set)   # shared by every cell
+    lipschitz = _lipschitz(split[0])
+    val_features, val_truths = _stacked(val_set)
     cells: list[GridCell] = []
     best: tuple | None = None
     for fraction in step_grid:
         for epochs in epoch_grid:
             lr = float(fraction) / lipschitz
             try:
-                model = train(train_set, TrainConfig(learning_rate=lr, epochs=int(epochs)))
-                val_mae = _validation_mae(model, val_set)
+                model = _descend(split, TrainConfig(learning_rate=lr, epochs=int(epochs)))
+                val_mae = float(np.mean(np.abs(_predicted(model, val_features) - val_truths)))
                 if not math.isfinite(val_mae):
                     raise ArithmeticError(f"non-finite validation MAE {val_mae}")
             except Exception as exc:   # a broken cell must not sink the sweep

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from rirdist import acoustics, cli, dataio, filtering
+from rirdist import corpus as corpus_module
 from rirdist.acoustics import EDC_GRID_POINTS, analyze_rir
 from rirdist.cli import main
 from rirdist.estimator import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, extract_features
+from rirdist.filtering import FilterCriteria
 from rirdist.synth import GeometryError, SynthesisConfig, builtin_room
 
 from helpers import (
@@ -46,7 +48,7 @@ def _write_corpus(directory: Path, entries, seed=0):
     dataio.write_json(directory / dataio.MANIFEST_NAME, {
         "schema_version": dataio.SCHEMA_VERSION,
         "seed": seed,
-        "rooms": sorted({str(rir.room_id) for _, rir in entries}),
+        "rooms": [{"room_id": rid} for rid in dict.fromkeys(rir.room_id for _, rir in entries)],
         "n_per_room": len(rows),
         "count": len(rows),
         "sample_rate": 32000,
@@ -94,6 +96,16 @@ def test_filter_help_documents_defaults(capsys):
     text = capsys.readouterr().out
     for token in ("0.8", "7.1", "1.8695", "20%"):
         assert token in text
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    args = parser.parse_args(["filter", "--in", "c", "--enrollment", "e"])
+    assert {field: getattr(args, field) for field in dataclasses.asdict(FilterCriteria())} \
+        == dataclasses.asdict(FilterCriteria())
+    args = parser.parse_args(["generate", "--out", "o", "--n", "1"])
+    assert (args.order, args.crossover_ms) \
+        == (SynthesisConfig().max_image_order, SynthesisConfig().tail_crossover_ms)
 
 
 def test_generate_rejects_bad_arguments(tmp_path):
@@ -651,9 +663,10 @@ def test_filter_streams_the_corpus(pipeline_dirs, tmp_path, monkeypatch):
 
 
 def test_decisions_carry_each_rirs_features(pipeline_dirs):
-    corpus, _, _ = pipeline_dirs
-    metadata = {row["rir_id"]: row for row in dataio.read_jsonl(corpus / dataio.METADATA_NAME)}
-    rows = dataio.read_jsonl(corpus / dataio.DECISIONS_NAME)
+    corpus_dir, _, _ = pipeline_dirs
+    opened = corpus_module.Corpus(corpus_dir)
+    metadata = {row["rir_id"]: row for row in opened.rows()}
+    rows = dataio.read_jsonl(corpus_dir / dataio.DECISIONS_NAME)
     assert any(row["accepted"] for row in rows)
     for row in rows:
         if row["t60_s"] is None:                 # no metrics, so no features
@@ -661,7 +674,7 @@ def test_decisions_carry_each_rirs_features(pipeline_dirs):
             continue
         assert list(row)[-2:] == ["feature_schema_version", "features"]
         assert row["feature_schema_version"] == FEATURE_SCHEMA_VERSION
-        rir = cli._read_recording(corpus, metadata[row["rir_id"]])
+        rir = opened.recording(metadata[row["rir_id"]])
         recomputed = extract_features(analyze_rir(rir)).as_array()
         assert [row["features"][name].hex() for name in FEATURE_NAMES] \
             == [float(value).hex() for value in recomputed]
@@ -725,6 +738,42 @@ def test_filter_refuses_metrics_of_another_corpus(golden_dirs, capsys, edit):
     assert f"rirdist analyze --in {corpus}" in capsys.readouterr().err
     assert not (corpus / dataio.DECISIONS_NAME).exists()
     assert not (corpus / dataio.LOCK_FILENAME).exists()
+
+
+def test_filter_reads_each_manifest_and_metadata_file_once(golden_dirs, monkeypatch):
+    corpus, enroll = golden_dirs
+    manifests = _count_calls(monkeypatch, "read_json", corpus_module)
+    walked = []
+
+    def counting_iter_jsonl(path):
+        walked.append(Path(path).relative_to(corpus.parent))
+        return dataio.iter_jsonl(path)
+
+    monkeypatch.setattr(corpus_module, "iter_jsonl", counting_iter_jsonl)
+    assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll)]) == 0
+    assert len(manifests) == 2   # the corpus's and the enrollment's
+    assert sorted(map(str, walked)) == sorted(
+        ["corpus/metadata.jsonl", "corpus/metrics.jsonl", "enroll/metadata.jsonl"])
+
+
+def test_a_truncated_metrics_line_is_named_by_file_and_line(golden_dirs, capsys):
+    corpus, enroll = golden_dirs
+    path = corpus / dataio.METRICS_NAME
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2]) + lines[2][:len(lines[2]) // 2] + "\n")
+    assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll)]) == 2
+    assert f"{path}:3: " in capsys.readouterr().err
+    assert not (corpus / dataio.DECISIONS_NAME).exists()
+
+
+def test_filter_refuses_a_manifest_without_room_profiles(golden_dirs, capsys):
+    corpus, enroll = golden_dirs
+    manifest = dataio.read_json(corpus / dataio.MANIFEST_NAME)
+    manifest["rooms"] = [GOLDEN_ROOM_ID]   # bare ids, not the profiles generate writes
+    dataio.write_json(corpus / dataio.MANIFEST_NAME, manifest)
+    assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll)]) == 4
+    assert "lists no room profiles" in capsys.readouterr().err
+    assert not (corpus / dataio.DECISIONS_NAME).exists()
 
 
 def test_filter_refuses_the_metrics_of_a_foreign_corpus(golden_dirs, tmp_path):
@@ -816,7 +865,7 @@ def test_report_text_names_the_payload_bin_width():
     payload = {"n_samples": 1, "mae_m": 0.0, "pearson_r": None, "per_range": [],
                "histogram": {"bin_width_m": 0.25, "truth_counts": [1],
                              "predicted_counts": [0]}}
-    text = cli._render_report_text(payload)
+    text = cli._render_tables(payload)["report.txt"]
     assert "distance histogram (0.25 m bins)" in text
     assert "[0, 0.25)" in text
 
@@ -845,7 +894,7 @@ def test_filter_and_train_do_one_descriptor_pass_per_rir(pipeline_dirs, tmp_path
     n_corpus = len(dataio.read_jsonl(corpus / dataio.METADATA_NAME))
     n_enroll = len(dataio.read_jsonl(enroll / dataio.METADATA_NAME))
     edc_calls = _count_calls(monkeypatch, "schroeder_edc", acoustics)
-    wav_reads = _count_calls(monkeypatch, "read_wav", dataio, cli)
+    wav_reads = _count_calls(monkeypatch, "read_wav", dataio, corpus_module)
     assert main(["analyze", "--in", str(corpus)]) == 0
     assert (len(wav_reads), len(edc_calls)) == (n_corpus, n_corpus)
     screened = tmp_path / "screened"
@@ -900,6 +949,19 @@ def test_train_refuses_decisions_that_do_not_cover_the_corpus(pipeline_dirs, tmp
         assert main(_train_argv(corpus, out, "--decisions", str(decisions),
                                 "--step-grid", "1", "--epoch-grid", "5")) == 4
         assert not out.exists()
+
+
+def test_train_refuses_decisions_out_of_corpus_order(pipeline_dirs, tmp_path, capsys):
+    """filter writes rows in corpus order; train reads them in step with the metadata."""
+    corpus, _, _ = pipeline_dirs
+    rows = dataio.read_jsonl(corpus / dataio.DECISIONS_NAME)
+    decisions = tmp_path / "decisions.jsonl"
+    dataio.write_jsonl(decisions, rows[1:2] + rows[:1] + rows[2:])
+    out = tmp_path / "model"
+    assert main(_train_argv(corpus, out, "--decisions", str(decisions),
+                            "--step-grid", "1", "--epoch-grid", "5")) == 4
+    assert f"rirdist filter --in {corpus}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_with_every_grid_cell_failing_exits_2(pipeline_dirs, tmp_path, capsys):
@@ -966,6 +1028,40 @@ def test_eval_foreign_model_schema_is_rejected(pipeline_dirs, tmp_path):
     assert main(["eval", "--model", str(broken),
                  "--dataset", str(model_dir / dataio.HOLDOUT_NAME),
                  "--out", str(tmp_path / "out")]) == 4
+
+
+@pytest.mark.parametrize("key", ["train_config", "weights", "feature_means"])
+def test_eval_on_a_model_missing_a_key_is_a_schema_mismatch(pipeline_dirs, tmp_path, capsys,
+                                                             key):
+    _, _, model_dir = pipeline_dirs
+    payload = dataio.read_json(model_dir / dataio.MODEL_NAME)
+    del payload[key]
+    broken = tmp_path / "model.json"
+    dataio.write_json(broken, payload)
+    assert main(["eval", "--model", str(broken),
+                 "--dataset", str(model_dir / dataio.HOLDOUT_NAME),
+                 "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert str(broken) in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit", [lambda p: p.pop("per_range"), lambda p: p.pop("histogram"),
+                                  lambda p: p.update(per_range=[None])],
+                         ids=["no_per_range", "no_histogram", "null_bucket"])
+def test_report_on_a_malformed_eval_is_a_schema_mismatch(pipeline_dirs, tmp_path, capsys, edit):
+    _, _, model_dir = pipeline_dirs
+    eval_dir = tmp_path / "eval"
+    assert main(["eval", "--model", str(model_dir / dataio.MODEL_NAME),
+                 "--dataset", str(model_dir / dataio.HOLDOUT_NAME),
+                 "--out", str(eval_dir)]) == 0
+    payload = dataio.read_json(eval_dir / dataio.EVAL_NAME)
+    edit(payload)
+    dataio.write_json(eval_dir / dataio.EVAL_NAME, payload)
+    assert main(["report", "--eval", str(eval_dir / dataio.EVAL_NAME),
+                 "--out", str(tmp_path / "report")]) == 4
+    assert str(eval_dir / dataio.EVAL_NAME) in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
 
 
 def test_analyze_rows_evaluate_and_their_decay_grid_is_ignored(pipeline_dirs, tmp_path):

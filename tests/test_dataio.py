@@ -202,3 +202,27 @@ def test_a_stale_lock_another_run_took_over_first_is_put_back(tmp_path, monkeypa
             pass
     assert lock.read_text() == fresh
     assert list(tmp_path.iterdir()) == [lock]
+
+
+# ------------------------------------------------------------- JSON-lines reads
+
+def test_a_malformed_jsonl_line_names_its_file_and_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n\n{"b": 2, "c"\n{"d": 4}\n')
+    rows = dataio.iter_jsonl(path)
+    assert next(rows) == {"a": 1}
+    with pytest.raises(ValueError, match=f"^{path}:3: "):
+        next(rows)
+
+
+def test_a_failed_block_removes_the_output_directory_its_lock_made(tmp_path):
+    made, kept = tmp_path / "made" / "deeper", tmp_path / "kept"
+    kept.mkdir()
+    for directory in (made, kept):
+        with pytest.raises(RuntimeError), dataio.output_lock(directory):
+            raise RuntimeError("the stage failed")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept", "made"]
+    assert list(kept.iterdir()) == [] and list((tmp_path / "made").iterdir()) == []
+    with dataio.output_lock(made):
+        pass
+    assert made.is_dir() and list(made.iterdir()) == []

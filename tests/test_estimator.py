@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rirdist import estimator
 from rirdist.acoustics import InsufficientDecayError, RIRecording, analyze_rir
 from rirdist.estimator import (
     DEFAULT_EPOCH_GRID,
@@ -388,6 +389,26 @@ def test_grid_search_records_failed_cells():
     assert by_step[1e6].val_mae_m is None and by_step[1e6].final_loss is None
     assert by_step[0.5].error is None
     assert best.step_fraction == 0.5
+
+
+def test_grid_search_standardizes_its_training_split_once(monkeypatch):
+    """Every cell descends on the one standardized design of the training split,
+    and scores the validation rows as predict scores each of them alone."""
+    data = random_dataset(40, seed=3)
+    stacked = []
+
+    def counting(features):
+        stacked.append(len(features))
+        return standardize_stats(features)
+
+    monkeypatch.setattr(estimator, "standardize_stats", counting)
+    best, cells = grid_search(data[:30], data[30:])
+    assert stacked == [30] and len(cells) == len(DEFAULT_STEP_GRID) * len(DEFAULT_EPOCH_GRID)
+    model = train(data[:30], TrainConfig(best.learning_rate, best.epochs))
+    per_row = [max(0.0, float(((vec.as_array() - model.feature_means) / model.feature_stds)
+                              @ model.weights)) for vec, _ in data[30:]]
+    assert best.val_mae_m == float(np.mean(np.abs(np.asarray(per_row)
+                                                  - [dist for _, dist in data[30:]])))
 
 
 def test_grid_search_all_cells_failing_raises():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rirdist import cli, dataio
+from rirdist import corpus, dataio
 from rirdist.acoustics import _GRID_T, EDC_GRID_POINTS, RIRecording, analyze_rir
 from rirdist.filtering import (
     FilterCriteria,
@@ -227,7 +227,7 @@ def test_a_written_and_read_back_row_screens_like_the_in_memory_result(
             edc_max_rms_dev_db=float(np.sqrt(np.mean(deviation ** 2))))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "metrics.jsonl"
-        dataio.write_jsonl(path, [cli._metrics_row("r", metrics, rir.metadata_distance(), None)])
+        dataio.write_jsonl(path, [corpus.metrics_row("r", metrics, rir.metadata_distance(), None)])
         (row,) = dataio.read_jsonl(path)
     assert row["edc_grid_db"] == metrics.edc_grid_db.tolist()
     assert row["t60_s"] == metrics.t60_s
