@@ -9,14 +9,20 @@ full-length arrays as they can and reuse their own temporaries in place,
 never their inputs: a second of float64 audio is large enough that each
 fresh array costs page faults. The in-place forms evaluate the same
 expressions in the same order, so results are bit-equal.
+
+The decay curve is kept in linear units, and its levels in dB are
+computed only where they are read: the T60 fit reads its segment and
+the few samples around each level it searches for, and the 10 ms grid
+reads the pair of samples around each grid time. Each level comes from
+the same chain of ufuncs, on a contiguous array, as the full curve in
+dB would give it, so every descriptor is bit-equal to one computed from
+the whole curve.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +48,16 @@ ECHO_TRUNCATED_FLAG = "echo_truncated"
 
 _T20_SPAN_DB = (-5.0, -25.0)   # primary fit segment (T20, extrapolated x3)
 _T10_SPAN_DB = (-5.0, -15.0)   # fallback segment (T10, extrapolated x6)
+_USABLE_DB = DB_FLOOR + 1e-9   # levels above this count as usable decay
 _MIN_FIT_POINTS = 8
+_FLOOR_RATIO = 10.0 ** (DB_FLOOR / 10.0)
+# A level's energy threshold is widened into a bracket this wide (relative),
+# plus an absolute margin for thresholds so small they are subnormal. Its
+# rounding errors are some 1e-16 relative, so outside the bracket an energy
+# decides a level test alone, and inside it the level is computed in dB.
+_BRACKET_REL = 1e-6
+_BRACKET_ABS = 1e-320
+_DIRECT_BLOCK = 2048           # the direct path is searched for this many samples at a time
 
 
 class ZeroEnergyError(ValueError):
@@ -114,15 +129,35 @@ def source_receiver_distance(source_pos, receiver_pos) -> float:
 
 @dataclass(frozen=True)
 class EnergyDecayCurve:
-    """Schroeder decay curve in dB, one value per input sample.
+    """Schroeder decay curve in linear units, one value per input sample.
 
-    ``values_db[0]`` is exactly 0 and the curve is non-increasing;
-    levels are clamped at the -120 dB floor. ``total_energy`` is the
-    plain sum of squared samples in linear units.
+    ``energy[n]`` is the energy from sample n on, the sum of ``x[k]^2``
+    over k >= n, so ``energy[0] == total_energy`` and the curve is
+    non-increasing. :meth:`db` gives levels in dB, clamped at the
+    -120 dB floor, for just the samples it is asked for; ``values_db``
+    is the whole curve in dB, where ``values_db[0]`` is exactly 0.
     """
 
-    values_db: np.ndarray
+    energy: np.ndarray
     total_energy: float
+
+    def db(self, index=slice(None)) -> np.ndarray:
+        """Levels in dB of the samples ``index`` (a slice or an index array) picks.
+
+        ``10 log10(energy / total_energy)``, clamped at the floor, computed
+        into a new contiguous array: ``np.log10`` gives the same bits for a
+        sample whichever contiguous array holds it, but not on strided ones.
+        """
+        levels = self.energy[index] / self.total_energy
+        np.maximum(levels, _FLOOR_RATIO, out=levels)
+        np.log10(levels, out=levels)
+        np.multiply(10.0, levels, out=levels)
+        return levels
+
+    @property
+    def values_db(self) -> np.ndarray:
+        """The whole curve in dB (a new array each time)."""
+        return self.db()
 
 
 @dataclass(frozen=True)
@@ -162,26 +197,46 @@ class AcousticMetrics:
 def schroeder_edc(rir: RIRecording) -> EnergyDecayCurve:
     """Backward-integrated energy decay curve of an impulse response.
 
-    ``values_db[n] = 10 log10(sum_{k>=n} x[k]^2 / total)``, clamped at
-    the -120 dB floor. Raises :class:`ZeroEnergyError` for all-zero
-    input and :class:`NonFiniteSignalError` when the total energy is NaN
-    or infinite, including squares or sums that overflow.
+    ``energy[n] = sum_{k>=n} x[k]^2``; its levels in dB are
+    ``10 log10(energy[n] / total)``, clamped at the -120 dB floor. Raises
+    :class:`ZeroEnergyError` for all-zero input and
+    :class:`NonFiniteSignalError` when the total energy is NaN or
+    infinite, including squares or sums that overflow.
     """
-    # One full-length array: the squares, backward-integrated in place
-    # through a reversed view, then scaled to dB in place.
+    # One full-length array: the squares of the samples from last to first,
+    # summed in place, so it ascends; the curve is a reversed view of it.
     with np.errstate(over="ignore"):     # overflow is reported below, as inf
-        curve = rir.samples ** 2
-        np.cumsum(curve[::-1], out=curve[::-1])
-    total = float(curve[0])
+        rising = rir.samples[::-1] ** 2
+        np.cumsum(rising, out=rising)
+    total = float(rising[-1])
     if not math.isfinite(total):
         raise NonFiniteSignalError(f"signal energy is {total}, not a finite number")
     if total <= 0.0:
         raise ZeroEnergyError("cannot integrate an all-zero impulse response")
-    np.divide(curve, total, out=curve)
-    np.maximum(curve, 10.0 ** (DB_FLOOR / 10.0), out=curve)
-    np.log10(curve, out=curve)
-    np.multiply(10.0, curve, out=curve)
-    return EnergyDecayCurve(values_db=curve, total_energy=total)
+    return EnergyDecayCurve(energy=rising[::-1], total_energy=total)
+
+
+def _count_above(edc: EnergyDecayCurve, levels_db: tuple, inclusive: tuple) -> list[int]:
+    """How many leading samples of the curve lie above each level (at or above
+    it where ``inclusive``), in dB as :meth:`EnergyDecayCurve.db` gives them.
+
+    Relies on the curve being non-increasing, so that the samples above a
+    level come first. One binary search over the energies brackets each
+    level: samples with more energy than the bracket are above it, those
+    with less are below, and only the bracket's samples are taken to dB.
+    """
+    bounds = [edc.total_energy * 10.0 ** (level / 10.0) * (1.0 + side * _BRACKET_REL)
+              + side * _BRACKET_ABS for side in (1.0, -1.0) for level in levels_db]
+    rising = edc.energy[::-1]
+    # samples at or above each bound, counted from the start of the curve
+    counts = (rising.size - np.searchsorted(rising, bounds)).tolist()
+    above = []
+    for level, closed, lo, hi in zip(levels_db, inclusive, counts, counts[len(levels_db):]):
+        if hi > lo:
+            bracket = edc.db(slice(lo, hi))
+            lo += int(np.count_nonzero(bracket >= level if closed else bracket > level))
+        above.append(lo)
+    return above
 
 
 def estimate_t60(edc: EnergyDecayCurve, sample_rate: int) -> T60Estimate:
@@ -195,23 +250,22 @@ def estimate_t60(edc: EnergyDecayCurve, sample_rate: int) -> T60Estimate:
     sum((t - t_mean)^2), over the segment's times t and levels L.
     Relies on the curve being non-increasing, as every
     :class:`EnergyDecayCurve` is: the samples above the floor come first,
-    and the segment is one run ``[first, stop)`` of indices, so all three
-    bounds are binary searches.
+    and the segment is one run ``[first, stop)`` of indices. Only the
+    segment and the samples near its bounds are taken to dB.
     """
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
-    values = edc.values_db
-    # bisect wants ascending keys; the negated curve is non-decreasing
-    n_usable = bisect.bisect_left(values, -(DB_FLOOR + 1e-9), key=operator.neg)  # > floor
-    dynamic_range_db = -float(values[n_usable - 1]) if n_usable else 0.0
+    n_usable, first, stop_t10, stop_t20 = _count_above(
+        edc, (_USABLE_DB, _T20_SPAN_DB[0], _T10_SPAN_DB[1], _T20_SPAN_DB[1]),
+        (False, False, True, True))
+    dynamic_range_db = -float(edc.db(slice(n_usable - 1, n_usable))[0]) if n_usable else 0.0
     if dynamic_range_db < 15.0:
         raise InsufficientDecayError(
             f"only {dynamic_range_db:.1f} dB of usable decay, need at least 15 dB"
         )
     fallback = dynamic_range_db < 30.0
     span = _T10_SPAN_DB if fallback else _T20_SPAN_DB
-    first = bisect.bisect_left(values, -span[0], key=operator.neg)    # values > span[0]
-    stop = bisect.bisect_right(values, -span[1], key=operator.neg)    # values >= span[1]
+    stop = stop_t10 if fallback else stop_t20   # levels >= span[1] before stop
     if stop - first < _MIN_FIT_POINTS:
         raise InsufficientDecayError(
             f"decay segment {span} dB holds {stop - first} samples, "
@@ -219,7 +273,7 @@ def estimate_t60(edc: EnergyDecayCurve, sample_rate: int) -> T60Estimate:
         )
     times = np.arange(first, stop) / float(sample_rate)
     centered = times - times.mean()
-    levels = values[first:stop]
+    levels = edc.db(slice(first, stop))
     slope = float(centered @ (levels - levels.mean())) / float(centered @ centered)
     if slope >= 0.0:
         raise InsufficientDecayError("decay segment is not decaying")
@@ -238,7 +292,14 @@ def detect_direct_path(rir: RIRecording) -> int:
     if peak <= 0.0:
         raise ZeroEnergyError("all-zero impulse response has no direct path")
     level = DIRECT_PEAK_FRACTION * peak
-    return int(np.argmax((samples >= level) | (samples <= -level)))
+    # the direct path comes early: scan from the start, one block at a time
+    for start in range(0, samples.size, _DIRECT_BLOCK):
+        block = samples[start:start + _DIRECT_BLOCK]
+        reaches = (block >= level) | (block <= -level)
+        first = int(np.argmax(reaches))
+        if reaches[first]:
+            return start + first
+    return 0   # a NaN peak: no sample reaches it
 
 
 def geometric_distance(direct_index: int, sample_rate: int) -> float:
@@ -318,16 +379,24 @@ def early_reflection_profile(rir: RIRecording, direct_index: int) -> EchoDensity
 
 
 @functools.lru_cache(maxsize=1)
-def _time_axis(n: int, sample_rate: int) -> np.ndarray:
-    """Sample times of an n-sample signal, shared by every call: never write to it.
+def _grid_support(n: int, sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of an n-sample curve that ``np.interp`` reads for the 10 ms grid.
 
-    Not flagged read-only, since ``np.interp`` copies a read-only ``xp`` every call."""
-    return np.arange(n) / float(sample_rate)
+    Sample 0, sample n - 1, and for each grid time the samples just before
+    (or at) and just after it, with their times: on them ``np.interp``
+    finds the same neighbours, so the same slopes and bytes, as on every
+    sample. Shared by every call for one length and rate: never write to it.
+    """
+    times = np.arange(n) / float(sample_rate)
+    after = np.searchsorted(times, _GRID_T, side="right")
+    indices = np.unique(np.concatenate([[0, n - 1], after - 1, np.minimum(after, n - 1)]))
+    return indices, times[indices]
 
 
-def _edc_on_grid(values_db: np.ndarray, sample_rate: int) -> np.ndarray:
-    """Resample a per-sample decay curve onto the 10 ms grid of the first second."""
-    return np.interp(_GRID_T, _time_axis(values_db.size, sample_rate), values_db)
+def _edc_on_grid(edc: EnergyDecayCurve, sample_rate: int) -> np.ndarray:
+    """The decay curve in dB on the 10 ms grid of the first second, linearly interpolated."""
+    indices, times = _grid_support(edc.energy.size, sample_rate)
+    return np.interp(_GRID_T, times, edc.db(indices))
 
 
 def analyze_rir(rir: RIRecording) -> AcousticMetrics:
@@ -370,6 +439,6 @@ def analyze_rir(rir: RIRecording) -> AcousticMetrics:
         echo_density=echo.counts,
         total_energy_db=float(total_energy_db),
         early_late_ratio_db=early_late_ratio_db,
-        edc_grid_db=_edc_on_grid(edc.values_db, rir.sample_rate),
+        edc_grid_db=_edc_on_grid(edc, rir.sample_rate),
         flags=frozenset(flags),
     )

@@ -292,7 +292,12 @@ def cmd_train(args) -> int:
 
     samples = []
     for meta, decision in corpus.paired_rows(decisions, "filter"):
-        if decision["accepted"]:
+        accepted = decision.get("accepted")
+        if type(accepted) is not bool:
+            raise SchemaMismatchError(f"{decisions}: row {decision['rir_id']!r} has accepted "
+                                      f"{accepted!r}, not true or false; re-run rirdist "
+                                      f"filter --in {corpus.directory}")
+        if accepted:
             sample = parse_feature_row(decision)   # from filter; no WAV decoded
             if room_filter is None or meta["room_id"] in room_filter:
                 samples.append(sample)
@@ -342,7 +347,14 @@ def cmd_eval(args) -> int:
         model = EstimatorModel.from_json_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatchError(f"model {args.model} does not load: {exc!r}") from exc
-    rows = [parse_feature_row(row) for row in read_jsonl(args.dataset)]
+    rows = []
+    for row in read_jsonl(args.dataset):
+        if "error" in row:   # analyze could not describe this RIR, so it has no features
+            raise SchemaMismatchError(
+                f"dataset {args.dataset}: row {row.get('rir_id')!r} has no features, because "
+                f"its descriptors failed ({row['error']}); eval scores every row, so "
+                f"pass a dataset without it")
+        rows.append(parse_feature_row(row))
     if not rows:
         raise ValueError(f"dataset {args.dataset} is empty")
 

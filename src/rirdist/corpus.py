@@ -8,10 +8,13 @@ the rows that ``analyze``, ``filter``, ``train`` and ``eval`` exchange.
 
 from __future__ import annotations
 
+import binascii
 import re
 import shutil
 from collections.abc import Iterator
 from pathlib import Path
+
+import numpy as np
 
 from . import dataio
 from .acoustics import EDC_GRID_POINTS, AcousticMetrics, RIRecording, source_receiver_distance
@@ -149,8 +152,9 @@ class Corpus:
 
         ``path`` is an artifact ``stage`` wrote for this corpus: its rows must
         be the corpus's RIRs in corpus order at the metadata distances, and
-        with ``grids`` each must carry its decay grid. Anything else is a file
-        of another corpus or of an older ``stage``.
+        with ``grids`` each must carry its decay grid, which comes back decoded
+        (see :func:`decode_grid`). Anything else is a file of another corpus
+        or of an older ``stage``.
         """
         def mismatch(why: str) -> SchemaMismatchError:
             return SchemaMismatchError(f"{path} does not describe the corpus in "
@@ -168,20 +172,47 @@ class Corpus:
             if row.get("distance_m") != expected:   # same floats on both sides when it matches
                 raise mismatch(f"{meta['rir_id']} is at {row.get('distance_m')!r} m there "
                                f"and at {expected!r} m in the metadata")
-            grid = row.get("edc_grid_db", ())   # null only on an error row
-            if grids and not (isinstance(grid, list) and len(grid) == EDC_GRID_POINTS
-                              or grid is None and "error" in row):
-                raise mismatch(f"{meta['rir_id']} has no {EDC_GRID_POINTS}-point edc_grid_db")
+            if grids:
+                grid = row.get("edc_grid_db", ())   # null only on an error row
+                if isinstance(grid, list):
+                    raise mismatch(f"{meta['rir_id']} has its edc_grid_db as a list of "
+                                   f"floats, which an older analyze wrote")
+                if isinstance(grid, str):
+                    try:
+                        row["edc_grid_db"] = decode_grid(grid)
+                    except ValueError as exc:
+                        raise mismatch(f"{meta['rir_id']} has an edc_grid_db that {exc}") from None
+                elif not (grid is None and "error" in row):
+                    raise mismatch(f"{meta['rir_id']} has no edc_grid_db")
             yield meta, row
         if next(rows, None) is not None:
             raise mismatch("it has rows past the corpus's last RIR")
+
+
+def encode_grid(grid: np.ndarray) -> str:
+    """A decay grid as the text ``metrics.jsonl`` holds: base64 of its
+    little-endian float64 bytes, which :func:`decode_grid` reads back bit for bit."""
+    return binascii.b2a_base64(grid.astype("<f8").tobytes(), newline=False).decode("ascii")
+
+
+def decode_grid(text: str) -> np.ndarray:
+    """The float64 decay grid :func:`encode_grid` wrote (read-only). Raises
+    ``ValueError`` for text that is not base64 of ``EDC_GRID_POINTS`` doubles."""
+    try:
+        raw = binascii.a2b_base64(text)
+    except ValueError:   # binascii.Error, or a non-ASCII str
+        raise ValueError("is not base64") from None
+    if len(raw) != 8 * EDC_GRID_POINTS:
+        raise ValueError(f"decodes to {len(raw)} bytes, not {EDC_GRID_POINTS} float64 values")
+    return np.frombuffer(raw, "<f8")
 
 
 def metrics_row(rir_id: str, metrics: AcousticMetrics | None, distance: float | None,
                 error: str | None) -> dict:
     """One RIR's ``metrics.jsonl`` row. Descriptors are None without ``metrics``;
     ``error`` and the feature keys appear only when there are some. The decay
-    grid ``edc_grid_db`` comes last, so ``filter`` drops it from its rows."""
+    grid ``edc_grid_db`` comes last, as :func:`encode_grid` text, so ``filter``
+    drops it from its rows."""
     def value(convert, name):
         return None if metrics is None else convert(getattr(metrics, name))
 
@@ -200,7 +231,7 @@ def metrics_row(rir_id: str, metrics: AcousticMetrics | None, distance: float | 
         row["error"] = error
     if metrics is not None:
         with_features(row, extract_features(metrics))
-    row["edc_grid_db"] = None if metrics is None else metrics.edc_grid_db.tolist()
+    row["edc_grid_db"] = None if metrics is None else encode_grid(metrics.edc_grid_db)
     return row
 
 

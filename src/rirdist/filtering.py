@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Hashable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,14 @@ class ReferenceProfile:
     median_edc_db: np.ndarray          # EDC_GRID_POINTS values on the 10 ms grid
     echo_density_ref: np.ndarray       # per-window median echo counts
     n_enrollment: int
+    # derived once here rather than per screened row
+    n_compare: int = field(init=False, repr=False)      # grid points over [0, median T60]
+    echo_total_ref: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_compare",
+                           max(1, int(np.count_nonzero(_GRID_T <= self.median_t60_s))))
+        object.__setattr__(self, "echo_total_ref", float(np.sum(self.echo_density_ref)))
 
 
 @dataclass(frozen=True)
@@ -134,14 +142,14 @@ def apply_quality_filter(row: Mapping, profile: ReferenceProfile,
     if distance > criteria.max_distance_m:
         reasons.add(FilterReason.DISTANCE_TOO_FAR)
 
-    n_compare = max(1, int(np.count_nonzero(_GRID_T <= median)))
+    n_compare = profile.n_compare
     deviation = (np.asarray(row["edc_grid_db"][:n_compare], dtype=np.float64)
                  - profile.median_edc_db[:n_compare])
     if float(np.sqrt(np.mean(deviation ** 2))) > criteria.edc_max_rms_dev_db:
         reasons.add(FilterReason.EDC_SHAPE_MISMATCH)
 
     total = float(sum(row["echo_density"]))
-    ref_total = float(np.sum(profile.echo_density_ref))
+    ref_total = profile.echo_total_ref
     if ref_total > 0.0:
         echo_mismatch = abs(total - ref_total) / ref_total > criteria.echo_max_rel_dev
     else:

@@ -473,10 +473,11 @@ def test_t60_closed_form_matches_polyfit(range_lo_db, range_hi_db, span, fallbac
                                          steps, depth, sample_rate):
     # An irregular, strictly decaying curve from 0 dB down to -range_db.
     range_db = range_lo_db + depth * (range_hi_db - range_lo_db)
-    values = -range_db * np.concatenate([[0.0], np.cumsum(steps)]) / steps.sum()
-    reference, n_points = _polyfit_t60(values, sample_rate, span)
+    target_db = -range_db * np.concatenate([[0.0], np.cumsum(steps)]) / steps.sum()
+    edc = EnergyDecayCurve(energy=10.0 ** (target_db / 10.0), total_energy=1.0)
+    reference, n_points = _polyfit_t60(edc.values_db, sample_rate, span)
     assume(n_points >= 8)
-    est = estimate_t60(EnergyDecayCurve(values_db=values, total_energy=1.0), sample_rate)
+    est = estimate_t60(edc, sample_rate)
     assert est.fallback == fallback
     assert est.t60_s == pytest.approx(reference, rel=1e-12)
 
@@ -488,13 +489,14 @@ def test_t60_closed_form_matches_polyfit(range_lo_db, range_hi_db, span, fallbac
 # every result must match these byte for byte, or fail with the same error.
 
 def _reference_edc(rir):
+    """(whole curve in dB, total energy), as an EnergyDecayCurve's values_db and total_energy."""
     power = rir.samples.astype(np.float64) ** 2
     tail_energy = np.cumsum(power[::-1])[::-1]
     total = float(tail_energy[0])
     if total <= 0.0:
         raise ZeroEnergyError("cannot integrate an all-zero impulse response")
     ratio = np.maximum(tail_energy / total, 10.0 ** (DB_FLOOR / 10.0))
-    return EnergyDecayCurve(values_db=10.0 * np.log10(ratio), total_energy=total)
+    return 10.0 * np.log10(ratio), total
 
 
 def _reference_t60(edc, sample_rate):
@@ -572,7 +574,10 @@ def _outcome(fn, *args):
     except (ValueError, IndexError) as exc:
         return type(exc), str(exc)
     if isinstance(result, EnergyDecayCurve):
-        return result.values_db.tobytes(), result.total_energy.hex()
+        result = result.values_db, result.total_energy
+    if isinstance(result, tuple):   # a decay curve: its levels in dB and its total energy
+        values_db, total_energy = result
+        return values_db.tobytes(), total_energy.hex()
     if isinstance(result, np.ndarray):
         return result.tobytes()
     if isinstance(result, T60Estimate):
@@ -586,10 +591,16 @@ def _assert_kernels_match_reference(rir, direct_indices=()):
     assert edc == _outcome(_reference_edc, rir)
     if isinstance(edc[0], bytes):
         curve = schroeder_edc(rir)
+        reference_db, _ = _reference_edc(rir)
+        n = reference_db.size
+        # levels in dB computed for part of the curve are those of the whole curve
+        for index in (slice(n // 3, n // 2), slice(n - 1, n), slice(0, 0),
+                      np.unique(np.array([0, n // 5, n - 1]))):
+            assert curve.db(index).tobytes() == reference_db[index].tobytes()
         assert _outcome(estimate_t60, curve, rir.sample_rate) \
             == _outcome(_reference_t60, curve, rir.sample_rate)
-        assert _outcome(acoustics._edc_on_grid, curve.values_db, rir.sample_rate) \
-            == _outcome(_reference_edc_on_grid, curve.values_db, rir.sample_rate)
+        assert _outcome(acoustics._edc_on_grid, curve, rir.sample_rate) \
+            == _outcome(_reference_edc_on_grid, reference_db, rir.sample_rate)
     direct = _outcome(detect_direct_path, rir)
     assert direct == _outcome(_reference_direct_path, rir)
     indices = set(direct_indices) | {0, rir.samples.size - 1}
@@ -643,24 +654,84 @@ def test_kernels_match_reference_on_negative_and_tied_peaks(samples, peak, data,
 
 
 def test_time_axis_cache_follows_length_and_rate():
-    """Interleaved lengths and rates never reuse another curve's time axis."""
+    """Interleaved lengths and rates never reuse another curve's grid support."""
     for n, rate in [(32000, 32000), (500, 32000), (32000, 16000), (32000, 32000)]:
         rir = RIRecording(samples=exp_envelope_rir(0.05, seed=n).samples[:n], sample_rate=rate)
-        values = schroeder_edc(rir).values_db
-        assert acoustics._edc_on_grid(values, rate).tobytes() \
-            == _reference_edc_on_grid(values, rate).tobytes()
+        edc = schroeder_edc(rir)
+        assert acoustics._edc_on_grid(edc, rate).tobytes() \
+            == _reference_edc_on_grid(edc.values_db, rate).tobytes()
 
 
 def test_edc_grid_copies_no_full_length_array():
-    values = schroeder_edc(exp_envelope_rir(0.1, seed=3)).values_db
-    acoustics._edc_on_grid(values, SAMPLE_RATE)          # builds the cached time axis
+    edc = schroeder_edc(exp_envelope_rir(0.1, seed=3))
+    acoustics._edc_on_grid(edc, SAMPLE_RATE)          # builds the cached grid support
     tracemalloc.start()
     try:
-        acoustics._edc_on_grid(values, SAMPLE_RATE)
+        acoustics._edc_on_grid(edc, SAMPLE_RATE)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < values.nbytes / 4
+    assert peak < edc.energy.nbytes / 4
+
+
+def test_t60_reads_no_whole_curve_in_db():
+    """estimate_t60 takes to dB the fit segment and the samples near its bounds only.
+
+    A T60 of about 0.14 s puts 1,500 of the 32,000 samples in the segment."""
+    edc = schroeder_edc(exp_envelope_rir(0.02, seed=5))
+    estimate_t60(edc, SAMPLE_RATE)
+    tracemalloc.start()
+    try:
+        estimate_t60(edc, SAMPLE_RATE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < edc.energy.nbytes / 4
+
+
+# Signals whose energy stays within a hair of a level estimate_t60 searches
+# for, over a long run of samples: the energy bracket around that level then
+# spans the run, and every level in it must still be decided as in dB.
+_SEARCHED_DB = [DB_FLOOR + 1e-9, DB_FLOOR, _T20_SPAN_DB[0], _T10_SPAN_DB[1], _T20_SPAN_DB[1],
+                -30.0, -15.0 + 1e-9]
+
+
+@_REFERENCE
+@given(n=st.integers(64, 20000), sample_rate=_RATES, data=st.data(),
+       level_db=st.sampled_from(_SEARCHED_DB),
+       offset=st.sampled_from([0.0, 1e-15, -1e-15, 1e-9, -1e-9, 9e-7, -9e-7, 3e-6]),
+       noise=st.sampled_from([0.0, 1e-12, 1e-7]), scale=st.sampled_from([1.0, 1e-152, 1e-158]))
+def test_kernels_match_reference_on_a_spike_then_a_level(n, sample_rate, data, level_db,
+                                                         offset, noise, scale):
+    """A spike, zeros, and a second spike that leaves the energy between them at
+    ``level_db`` relative to the total, give or take ``offset`` (relative).
+    The smaller scales put the energies, and so the level thresholds, among
+    the subnormal numbers."""
+    first = data.draw(st.integers(0, n // 4))
+    second = data.draw(st.integers(first + 1, n - 1))
+    ratio = 10.0 ** (level_db / 10.0) * (1.0 + offset)
+    samples = np.zeros(n)
+    samples[first] = 1.0
+    samples[second] = np.sqrt(ratio / (1.0 - ratio))
+    samples[second + 1:] = noise * np.random.default_rng(n).standard_normal(n - second - 1)
+    samples *= scale
+    assume(float(samples @ samples) > 0.0)
+    _assert_kernels_match_reference(RIRecording(samples=samples, sample_rate=sample_rate))
+
+
+@_REFERENCE
+@given(tau=st.floats(0.002, 0.06), seed=_SEEDS, n=st.integers(2000, 40000),
+       sample_rate=_RATES, gain=st.floats(1e-30, 1e30))
+def test_kernels_match_reference_on_float32_tails_at_the_floor(tau, seed, n, sample_rate,
+                                                               gain):
+    """float32 storage quantizes the tail, which decays through -120 dB: the
+    floor bracket holds runs of equal energies and exact zeros."""
+    samples = (exp_envelope_rir(tau, duration_s=1.25, seed=seed).samples[:n] * gain)
+    samples = samples.astype(np.float32).astype(np.float64)
+    assume(float(samples @ samples) > 0.0)
+    reference_db, _ = _reference_edc(RIRecording(samples=samples))
+    assume(reference_db[-1] == DB_FLOOR)
+    _assert_kernels_match_reference(RIRecording(samples=samples, sample_rate=sample_rate))
 
 
 def test_edc_leaves_its_input_untouched():

@@ -12,6 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rirdist import acoustics, cli, dataio, filtering
 from rirdist import corpus as corpus_module
@@ -484,7 +487,27 @@ def test_analyze_emits_one_row_per_rir(tmp_path):
         assert row["flags"] == sorted(row["flags"])
         assert abs(row["measured_distance_m"] - row["distance_m"]) < 0.05
         assert list(row)[-1] == "edc_grid_db"
-        assert len(row["edc_grid_db"]) == EDC_GRID_POINTS and row["edc_grid_db"][0] == 0.0
+        assert len(row["edc_grid_db"]) == 1068   # base64 of 800 bytes
+        grid = corpus_module.decode_grid(row["edc_grid_db"])
+        assert grid.size == EDC_GRID_POINTS and grid[0] == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=hnp.arrays(np.float64, EDC_GRID_POINTS, elements=st.floats(width=64)))
+def test_the_decay_grid_round_trips_bit_for_bit(grid):
+    """Every float64, NaN payloads, -0.0 and subnormals included, through the JSON line."""
+    line = json.dumps({"edc_grid_db": corpus_module.encode_grid(grid)})
+    decoded = corpus_module.decode_grid(json.loads(line)["edc_grid_db"])
+    assert decoded.dtype == np.float64 and decoded.tobytes() == grid.tobytes()
+
+
+def test_analyze_writes_the_grid_analyze_rir_computes(pipeline_dirs):
+    corpus, _, _ = pipeline_dirs
+    opened = corpus_module.Corpus(corpus)
+    rows = dataio.read_jsonl(corpus / dataio.METRICS_NAME)
+    for meta, row in zip(opened.rows(), rows[:5]):
+        expected = analyze_rir(opened.recording(meta)).edc_grid_db
+        assert corpus_module.decode_grid(row["edc_grid_db"]).tobytes() == expected.tobytes()
 
 
 def test_analyze_records_bad_rows_without_failing_the_run(tmp_path):
@@ -718,7 +741,20 @@ def _without_grids(rows):
 
 
 def _truncated_grid(rows):
-    rows[2]["edc_grid_db"] = rows[2]["edc_grid_db"][:10]
+    grid = corpus_module.decode_grid(rows[2]["edc_grid_db"])
+    rows[2]["edc_grid_db"] = corpus_module.encode_grid(grid[:10])
+    return rows
+
+
+def _list_grid(rows):
+    """The grid as an older analyze wrote it: a list of floats."""
+    rows[2]["edc_grid_db"] = corpus_module.decode_grid(rows[2]["edc_grid_db"]).tolist()
+    return rows
+
+
+def _not_base64_grid(rows):
+    """binascii.Error is a ValueError, which would exit 2 if it were not caught."""
+    rows[2]["edc_grid_db"] = "not base64!"
     return rows
 
 
@@ -728,8 +764,10 @@ def _moved(rows):
 
 
 @pytest.mark.parametrize("edit", [_reordered, _without_grids, _truncated_grid, _moved,
-                                  lambda rows: rows[:-1], lambda rows: rows + rows[:1]],
-                         ids=["reordered", "no_grid", "short_grid", "moved", "short", "long"])
+                                  lambda rows: rows[:-1], lambda rows: rows + rows[:1],
+                                  _list_grid, _not_base64_grid],
+                         ids=["reordered", "no_grid", "short_grid", "moved", "short", "long",
+                              "list_grid", "not_base64_grid"])
 def test_filter_refuses_metrics_of_another_corpus(golden_dirs, capsys, edit):
     corpus, enroll = golden_dirs
     rows = dataio.read_jsonl(corpus / dataio.METRICS_NAME)
@@ -928,6 +966,25 @@ def test_train_refuses_decisions_without_features(pipeline_dirs, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("accepted", ["absent", None, 1, "true"])
+def test_train_refuses_a_decision_without_a_bool_verdict(pipeline_dirs, tmp_path, capsys,
+                                                         accepted):
+    corpus, _, _ = pipeline_dirs
+    rows = dataio.read_jsonl(corpus / dataio.DECISIONS_NAME)
+    if accepted == "absent":
+        del rows[3]["accepted"]
+    else:
+        rows[3]["accepted"] = accepted
+    decisions = tmp_path / "decisions.jsonl"
+    dataio.write_jsonl(decisions, rows)
+    out = tmp_path / "model"
+    assert main(_train_argv(corpus, out, "--decisions", str(decisions),
+                            "--step-grid", "1", "--epoch-grid", "5")) == 4
+    err = capsys.readouterr().err
+    assert str(decisions) in err and repr(rows[3]["rir_id"]) in err
+    assert not out.exists()
+
+
 def test_train_refuses_decisions_of_another_corpus(pipeline_dirs, tmp_path):
     corpus, _, _ = pipeline_dirs
     other = tmp_path / "other"       # same rooms and rir_ids, other scenes
@@ -1072,7 +1129,8 @@ def test_analyze_rows_evaluate_and_their_decay_grid_is_ignored(pipeline_dirs, tm
     shutil.copytree(enroll, analyzed)
     assert main(["analyze", "--in", str(analyzed)]) == 0
     rows = dataio.read_jsonl(analyzed / dataio.METRICS_NAME)
-    assert all(len(row["edc_grid_db"]) == EDC_GRID_POINTS for row in rows)
+    assert all(corpus_module.decode_grid(row["edc_grid_db"]).size == EDC_GRID_POINTS
+               for row in rows)
     stripped = tmp_path / "stripped.jsonl"
     dataio.write_jsonl(stripped, [{key: row[key] for key in
                                    ("rir_id", "distance_m", "feature_schema_version", "features")}
@@ -1097,6 +1155,23 @@ def test_eval_foreign_feature_rows_are_rejected(pipeline_dirs, tmp_path):
     assert main(["eval", "--model", str(model_dir / dataio.MODEL_NAME),
                  "--dataset", str(broken),
                  "--out", str(tmp_path / "out")]) == 4
+
+
+def test_eval_refuses_an_analyze_error_row_naming_it(pipeline_dirs, tmp_path, capsys):
+    """A row analyze could not describe has no features: eval refuses the dataset
+    and says which row and why, rather than blaming the row's schema."""
+    _, enroll, model_dir = pipeline_dirs
+    analyzed = tmp_path / "enroll"
+    shutil.copytree(enroll, analyzed)
+    failed = dataio.read_jsonl(analyzed / dataio.METADATA_NAME)[1]["rir_id"]
+    dataio.write_wav(analyzed / f"{failed}.wav", np.zeros(32000), 32000)
+    assert main(["analyze", "--in", str(analyzed)]) == 0
+    out = tmp_path / "eval"
+    assert main(["eval", "--model", str(model_dir / dataio.MODEL_NAME),
+                 "--dataset", str(analyzed / dataio.METRICS_NAME), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert repr(failed) in err and "ZeroEnergyError: " in err and "schema" not in err
+    assert not out.exists()
 
 
 def test_train_room_subset(pipeline_dirs, tmp_path):

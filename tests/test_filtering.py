@@ -211,7 +211,8 @@ def test_vacuous_criteria_accept_everything(golden_profile):
 def test_a_written_and_read_back_row_screens_like_the_in_memory_result(
         golden_profile, tau_s, seed, distance_m, on_the_edge):
     """What analyze writes and filter reads back decides exactly as the
-    analyze_rir result it came from: every float survives the JSON line."""
+    analyze_rir result it came from: every float survives the JSON line, and
+    the decay grid its base64 text, decoded as filter decodes it."""
     source, receiver = scene_positions(distance_m)
     rir = exp_envelope_rir(tau_s, seed=seed, source_pos=source, receiver_pos=receiver,
                            room_id=GOLDEN_ROOM_ID)
@@ -229,7 +230,8 @@ def test_a_written_and_read_back_row_screens_like_the_in_memory_result(
         path = Path(tmp) / "metrics.jsonl"
         dataio.write_jsonl(path, [corpus.metrics_row("r", metrics, rir.metadata_distance(), None)])
         (row,) = dataio.read_jsonl(path)
-    assert row["edc_grid_db"] == metrics.edc_grid_db.tolist()
+    row["edc_grid_db"] = corpus.decode_grid(row["edc_grid_db"])
+    assert row["edc_grid_db"].tobytes() == metrics.edc_grid_db.tobytes()
     assert row["t60_s"] == metrics.t60_s
     assert apply_quality_filter(row, golden_profile, criteria) \
         == apply_quality_filter(descriptor_row(rir), golden_profile, criteria)
