@@ -755,7 +755,7 @@ room = synth.builtin_room(1)
 scenes = synth.sample_scenes(room, 4, seed=0)
 if sys.argv[1] == "generate":
     def kernel(i):
-        return synth.normalize_rir(synth.synthesize_rir(room, scenes[i % 4]))
+        return synth.normalize_rir(synth.synthesize_rir(room, scenes[i % 4]), in_place=True)
 else:
     def kernel(i):
         return analyze_rir(rirs[i % 4])
@@ -781,7 +781,12 @@ def test_descriptor_pass_does_not_fault_per_rir(kernel):
     synthesis kernel, with its tail built from two full-length products,
     made about 80 per RIR before the tail was written in place, and about
     100 while it drew a fresh noise array per RIR after these descriptor
-    test signals had been allocated. The probe runs in a fresh
+    test signals had been allocated. Normalizing into a second array, as
+    ``generate`` did before it normalized in place, made about 93 per RIR
+    in some heap layouts (about 1 in 12 of 300 environments tried): the
+    raw and the normalized array, freed together at the top of the heap,
+    outgrow glibc's trim threshold of twice the largest freed mapping
+    (2 x 252 KB here). The probe runs in a fresh
     interpreter, as a CLI stage does, because the test process's
     allocator state (its thresholds rise with the large blocks earlier
     tests freed) hides the faults. The size of the environment moves the

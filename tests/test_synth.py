@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -422,7 +424,16 @@ def _normalize_outcome(fn, rir):
 
 
 def _assert_normalize_matches_reference(rir):
-    assert _normalize_outcome(normalize_rir, rir) == _normalize_outcome(_reference_normalize, rir)
+    reference = _normalize_outcome(_reference_normalize, rir)
+    assert _normalize_outcome(normalize_rir, rir) == reference
+    # in place: the same bytes, written over a copy of the input, which a refusal leaves as it was
+    own = RIRecording(samples=rir.samples.copy(), norm_gain=rir.norm_gain)
+    outcome = _normalize_outcome(functools.partial(normalize_rir, in_place=True), own)
+    assert outcome == reference
+    if isinstance(outcome[0], bytes):
+        assert own.samples.tobytes() == outcome[0]
+    else:
+        assert own.samples.tobytes() == rir.samples.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
