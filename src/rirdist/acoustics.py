@@ -57,7 +57,6 @@ _FLOOR_RATIO = 10.0 ** (DB_FLOOR / 10.0)
 # decides a level test alone, and inside it the level is computed in dB.
 _BRACKET_REL = 1e-6
 _BRACKET_ABS = 1e-320
-_DIRECT_BLOCK = 2048           # the direct path is searched for this many samples at a time
 
 
 class ZeroEnergyError(ValueError):
@@ -292,14 +291,7 @@ def detect_direct_path(rir: RIRecording) -> int:
     if peak <= 0.0:
         raise ZeroEnergyError("all-zero impulse response has no direct path")
     level = DIRECT_PEAK_FRACTION * peak
-    # the direct path comes early: scan from the start, one block at a time
-    for start in range(0, samples.size, _DIRECT_BLOCK):
-        block = samples[start:start + _DIRECT_BLOCK]
-        reaches = (block >= level) | (block <= -level)
-        first = int(np.argmax(reaches))
-        if reaches[first]:
-            return start + first
-    return 0   # a NaN peak: no sample reaches it
+    return int(np.argmax((samples >= level) | (samples <= -level)))
 
 
 def geometric_distance(direct_index: int, sample_rate: int) -> float:

@@ -152,7 +152,7 @@ def cmd_generate(args) -> int:
                     scenes = sample_scenes(room, args.n,
                                            seed=_derived_seed(args.seed, room.room_id))
                     for idx, scene in enumerate(scenes):
-                        rir = normalize_rir(synthesize_rir(room, scene, config), in_place=True)
+                        rir = normalize_rir(synthesize_rir(room, scene, config))
                         rir_id = f"room{room.room_id}_{idx:04d}"
                         writer.submit(write_wav, stage / f"{rir_id}.wav",
                                       rir.samples, rir.sample_rate)

@@ -197,13 +197,18 @@ def encode_grid(grid: np.ndarray) -> str:
 
 def decode_grid(text: str) -> np.ndarray:
     """The float64 decay grid :func:`encode_grid` wrote (read-only). Raises
-    ``ValueError`` for text that is not base64 of ``EDC_GRID_POINTS`` doubles."""
+    ``ValueError`` for text that is not base64 of ``EDC_GRID_POINTS`` doubles
+    exactly as :func:`encode_grid` writes it. The bytes carry no dtype, so
+    800 bytes of another type would be read as float64 all the same."""
     try:
         raw = binascii.a2b_base64(text)
     except ValueError:   # binascii.Error, or a non-ASCII str
         raise ValueError("is not base64") from None
     if len(raw) != 8 * EDC_GRID_POINTS:
         raise ValueError(f"decodes to {len(raw)} bytes, not {EDC_GRID_POINTS} float64 values")
+    # a2b_base64 skips characters outside the alphabet; only the canonical text is taken
+    if binascii.b2a_base64(raw, newline=False) != text.encode("ascii"):
+        raise ValueError("is not base64")
     return np.frombuffer(raw, "<f8")
 
 

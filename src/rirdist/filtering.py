@@ -115,8 +115,10 @@ def apply_quality_filter(row: Mapping, profile: ReferenceProfile,
     """Screen one RIR's descriptors against its room's reference profile.
 
     ``row`` maps ``t60_s``, ``edc_grid_db``, ``echo_density`` and
-    ``distance_m`` to the RIR's values: a ``metrics.jsonl`` row is one,
-    and so is a mapping of the fields of an :func:`analyze_rir` result.
+    ``distance_m`` to the RIR's values: a ``metrics.jsonl`` row is one once
+    its ``edc_grid_db`` text is decoded (``Corpus.paired_rows(grids=True)``
+    decodes it; the text itself raises ``TypeError``), and so is a mapping
+    of the fields of an :func:`analyze_rir` result.
     No signal is processed. All criteria are evaluated unconditionally.
     Distance is judged from the metadata distance ``distance_m``, not
     from the detected direct path. A row with an ``error`` (its
@@ -142,8 +144,13 @@ def apply_quality_filter(row: Mapping, profile: ReferenceProfile,
     if distance > criteria.max_distance_m:
         reasons.add(FilterReason.DISTANCE_TOO_FAR)
 
+    grid = row["edc_grid_db"]
+    if isinstance(grid, str):
+        raise TypeError("edc_grid_db is still the base64 text of metrics.jsonl; decode it with "
+                        "rirdist.corpus.decode_grid, or read rows with "
+                        "Corpus.paired_rows(grids=True)")
     n_compare = profile.n_compare
-    deviation = (np.asarray(row["edc_grid_db"][:n_compare], dtype=np.float64)
+    deviation = (np.asarray(grid[:n_compare], dtype=np.float64)
                  - profile.median_edc_db[:n_compare])
     if float(np.sqrt(np.mean(deviation ** 2))) > criteria.edc_max_rms_dev_db:
         reasons.add(FilterReason.EDC_SHAPE_MISMATCH)

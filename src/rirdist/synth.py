@@ -270,15 +270,14 @@ def synthesize_rir(room: ShoeboxRoom, query: SceneQuery,
     )
 
 
-def normalize_rir(rir: RIRecording, *, in_place: bool = False) -> RIRecording:
+def normalize_rir(rir: RIRecording) -> RIRecording:
     """Scale to unit peak magnitude, folding the old peak into norm_gain.
 
     ``normalized.samples * normalized.norm_gain`` reproduces the input's
-    physical signal, and normalizing twice is a no-op.
-
-    With ``in_place`` the result divides and shares ``rir.samples``, so
-    ``rir`` must not be read afterwards; it is left untouched when
-    normalizing fails. ``generate`` passes it for each fresh synthesis:
+    physical signal, and normalizing twice is a no-op. The samples are
+    divided in place, so the result shares ``rir.samples`` and ``rir``
+    must not be read afterwards (pass a copy to keep it); a refused gain
+    leaves them untouched. ``generate`` normalizes each fresh synthesis:
     a second full-length array per RIR can lift the allocator's free top
     of heap past its trim threshold, so every RIR's pages are handed back
     to the kernel and faulted in again.
@@ -286,17 +285,16 @@ def normalize_rir(rir: RIRecording, *, in_place: bool = False) -> RIRecording:
     peak = max(float(rir.samples.max()), -float(rir.samples.min()))
     if peak <= 0.0:
         raise ZeroEnergyError("cannot normalize an all-zero impulse response")
-    samples = rir.samples if in_place else rir.samples / peak
     normalized = RIRecording(
-        samples=samples,
+        samples=rir.samples,
         sample_rate=rir.sample_rate,
         source_pos=rir.source_pos,
         receiver_pos=rir.receiver_pos,
         room_id=rir.room_id,
         norm_gain=rir.norm_gain * peak,
     )
-    if in_place:   # after the gain is checked, so a refused gain leaves rir as it was
-        np.divide(normalized.samples, peak, out=normalized.samples)
+    # after the gain is checked, so a refused gain leaves the samples as they were
+    np.divide(normalized.samples, peak, out=normalized.samples)
     return normalized
 
 

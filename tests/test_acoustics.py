@@ -451,7 +451,8 @@ def test_descriptors_invariant_under_positive_scaling(tau, seed, gain):
 @given(tau=_TAUS, seed=_SEEDS, gain=_GAINS)
 def test_total_energy_invariant_under_normalization(tau, seed, gain):
     rir = RIRecording(samples=gain * exp_envelope_rir(tau, seed=seed).samples)
-    assert analyze_rir(normalize_rir(rir)).total_energy_db == pytest.approx(
+    normed = normalize_rir(RIRecording(samples=rir.samples.copy()))
+    assert analyze_rir(normed).total_energy_db == pytest.approx(
         analyze_rir(rir).total_energy_db, abs=1e-9)
 
 
@@ -755,7 +756,7 @@ room = synth.builtin_room(1)
 scenes = synth.sample_scenes(room, 4, seed=0)
 if sys.argv[1] == "generate":
     def kernel(i):
-        return synth.normalize_rir(synth.synthesize_rir(room, scenes[i % 4]), in_place=True)
+        return synth.normalize_rir(synth.synthesize_rir(room, scenes[i % 4]))
 else:
     def kernel(i):
         return analyze_rir(rirs[i % 4])
@@ -782,8 +783,8 @@ def test_descriptor_pass_does_not_fault_per_rir(kernel):
     made about 80 per RIR before the tail was written in place, and about
     100 while it drew a fresh noise array per RIR after these descriptor
     test signals had been allocated. Normalizing into a second array, as
-    ``generate`` did before it normalized in place, made about 93 per RIR
-    in some heap layouts (about 1 in 12 of 300 environments tried): the
+    ``normalize_rir`` did before it divided in place, made about 93 per
+    RIR in some heap layouts (about 1 in 12 of 300 environments tried): the
     raw and the normalized array, freed together at the top of the heap,
     outgrow glibc's trim threshold of twice the largest freed mapping
     (2 x 252 KB here). The probe runs in a fresh

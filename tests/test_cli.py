@@ -501,6 +501,15 @@ def test_the_decay_grid_round_trips_bit_for_bit(grid):
     assert decoded.dtype == np.float64 and decoded.tobytes() == grid.tobytes()
 
 
+@pytest.mark.parametrize("splice", [lambda t: t[:500] + " " + t[500:], lambda t: t + "\n"],
+                         ids=["space", "newline"])
+def test_decode_grid_takes_only_the_text_encode_grid_writes(splice):
+    """a2b_base64 alone skips whitespace too; filter's stray_character case covers the rest."""
+    text = corpus_module.encode_grid(np.linspace(0.0, -60.0, EDC_GRID_POINTS))
+    with pytest.raises(ValueError, match="is not base64"):
+        corpus_module.decode_grid(splice(text))
+
+
 def test_analyze_writes_the_grid_analyze_rir_computes(pipeline_dirs):
     corpus, _, _ = pipeline_dirs
     opened = corpus_module.Corpus(corpus)
@@ -758,6 +767,13 @@ def _not_base64_grid(rows):
     return rows
 
 
+def _stray_character_grid(rows):
+    """a2b_base64 alone skips the stray character and decodes 800 bytes all the same."""
+    text = rows[2]["edc_grid_db"]
+    rows[2]["edc_grid_db"] = text[:500] + "!" + text[500:]
+    return rows
+
+
 def _moved(rows):
     rows[1]["distance_m"] += 1e-9
     return rows
@@ -765,9 +781,9 @@ def _moved(rows):
 
 @pytest.mark.parametrize("edit", [_reordered, _without_grids, _truncated_grid, _moved,
                                   lambda rows: rows[:-1], lambda rows: rows + rows[:1],
-                                  _list_grid, _not_base64_grid],
+                                  _list_grid, _not_base64_grid, _stray_character_grid],
                          ids=["reordered", "no_grid", "short_grid", "moved", "short", "long",
-                              "list_grid", "not_base64_grid"])
+                              "list_grid", "not_base64_grid", "stray_character_grid"])
 def test_filter_refuses_metrics_of_another_corpus(golden_dirs, capsys, edit):
     corpus, enroll = golden_dirs
     rows = dataio.read_jsonl(corpus / dataio.METRICS_NAME)

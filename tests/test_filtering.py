@@ -237,6 +237,15 @@ def test_a_written_and_read_back_row_screens_like_the_in_memory_result(
         == apply_quality_filter(descriptor_row(rir), golden_profile, criteria)
 
 
+def test_a_row_whose_grid_is_still_text_is_refused_naming_the_decoder(golden_profile):
+    source, receiver = scene_positions(2.0)
+    rir = exp_envelope_rir(0.1, seed=3, source_pos=source, receiver_pos=receiver,
+                           room_id=GOLDEN_ROOM_ID)
+    row = corpus.metrics_row("r", analyze_rir(rir), rir.metadata_distance(), None)
+    with pytest.raises(TypeError, match="decode_grid"):
+        apply_quality_filter(row, golden_profile)
+
+
 # ---------------------------------------------------------------- batch runs
 
 def test_golden_batch_yield_and_histogram(golden_profile):

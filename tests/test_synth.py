@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -378,12 +376,11 @@ def test_normalize_bookkeeping_and_idempotence():
     samples = np.zeros(256)
     samples[10] = 0.25
     samples[80] = -0.1
-    rir = RIRecording(samples=samples)
-    normed = normalize_rir(rir)
+    normed = normalize_rir(RIRecording(samples=samples.copy()))
     assert float(np.max(np.abs(normed.samples))) == pytest.approx(1.0)
     assert normed.norm_gain == pytest.approx(0.25)
     np.testing.assert_allclose(normed.samples * normed.norm_gain, samples, atol=1e-15)
-    again = normalize_rir(normed)
+    again = normalize_rir(RIRecording(samples=normed.samples.copy(), norm_gain=normed.norm_gain))
     np.testing.assert_array_equal(again.samples, normed.samples)
     assert again.norm_gain == pytest.approx(normed.norm_gain)
 
@@ -397,7 +394,8 @@ def test_normalize_zero_energy_raises():
 def test_normalize_preserves_analysis_metrics():
     room = builtin_room(5)
     rir = synthesize_rir(room, SceneQuery((1.1, 1.2, 1.3), (3.8, 3.1, 2.0)))
-    raw, normed = analyze_rir(rir), analyze_rir(normalize_rir(rir))
+    raw = analyze_rir(rir)
+    normed = analyze_rir(normalize_rir(RIRecording(samples=rir.samples.copy())))
     assert normed.direct_index == raw.direct_index
     assert normed.t60_s == pytest.approx(raw.t60_s, rel=1e-9)
     assert normed.drr_db == pytest.approx(raw.drr_db, rel=1e-9)
@@ -425,10 +423,9 @@ def _normalize_outcome(fn, rir):
 
 def _assert_normalize_matches_reference(rir):
     reference = _normalize_outcome(_reference_normalize, rir)
-    assert _normalize_outcome(normalize_rir, rir) == reference
     # in place: the same bytes, written over a copy of the input, which a refusal leaves as it was
     own = RIRecording(samples=rir.samples.copy(), norm_gain=rir.norm_gain)
-    outcome = _normalize_outcome(functools.partial(normalize_rir, in_place=True), own)
+    outcome = _normalize_outcome(normalize_rir, own)
     assert outcome == reference
     if isinstance(outcome[0], bytes):
         assert own.samples.tobytes() == outcome[0]
