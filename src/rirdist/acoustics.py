@@ -168,6 +168,7 @@ class T60Estimate:
 @dataclass(frozen=True)
 class DrrEstimate:
     drr_db: float
+    signal_energy: float         # the sum of squared samples the ratio splits
     at_ceiling: bool = False
 
 
@@ -323,12 +324,12 @@ def compute_drr(rir: RIRecording, direct_index: int) -> DrrEstimate:
         raise ZeroEnergyError("all-zero impulse response has no energy ratio")
     reverberant_energy = total_energy - direct_energy
     if reverberant_energy <= 0.0:
-        return DrrEstimate(DRR_CEILING_DB, at_ceiling=True)
+        return DrrEstimate(DRR_CEILING_DB, total_energy, at_ceiling=True)
     floor = total_energy * 10.0 ** (DB_FLOOR / 10.0)
     drr = 10.0 * (np.log10(max(direct_energy, floor)) - np.log10(reverberant_energy))
     if drr >= DRR_CEILING_DB:
-        return DrrEstimate(DRR_CEILING_DB, at_ceiling=True)
-    return DrrEstimate(float(drr), at_ceiling=False)
+        return DrrEstimate(DRR_CEILING_DB, total_energy, at_ceiling=True)
+    return DrrEstimate(float(drr), total_energy, at_ceiling=False)
 
 
 def early_reflection_profile(rir: RIRecording, direct_index: int) -> EchoDensityProfile:
@@ -410,7 +411,7 @@ def analyze_rir(rir: RIRecording) -> AcousticMetrics:
     samples = rir.samples
     split = direct_index + round(EARLY_LATE_SPLIT_S * rir.sample_rate)
     early, late = samples[direct_index:split], samples[split:]
-    floor = float(samples @ samples) * 1e-12
+    floor = drr.signal_energy * 1e-12
     early_late_ratio_db = 10.0 * (math.log10(max(float(early @ early), floor)) -
                                   math.log10(max(float(late @ late), floor)))
 

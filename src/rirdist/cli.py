@@ -11,13 +11,13 @@ mismatches.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import os
-import queue
+import pickle
 import shutil
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -81,52 +81,98 @@ def _derived_seed(*parts) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-class _BackgroundWriter:
-    """Runs ``write(*args)`` calls on one thread, in the order they were submitted.
+def _usable_cpus() -> int:
+    """How many processes :func:`_in_processes` runs: one per CPU this process
+    may use, or 1 where it cannot fork, or runs a second thread of any kind.
+    A forked child would inherit that thread's locks held; and the threads a
+    multithreaded BLAS starts at load (OpenBLAS's, unless OPENBLAS_NUM_THREADS
+    is 1) spin between calls, so beside one worker per CPU they starve all of
+    them: ``analyze`` ran 4-9x slower split over two processes than in one."""
+    try:
+        alone = len(os.listdir("/proc/self/task")) == 1   # native threads counted too
+        return len(os.sched_getaffinity(0)) if alone and hasattr(os, "fork") else 1
+    except (OSError, AttributeError):   # no /proc or no sched_getaffinity: not Linux
+        return 1
 
-    ``generate`` hands each WAV here and synthesizes the next RIR while
-    the kernel creates the file. At most :attr:`DEPTH` calls wait. The first
-    call that raises ends the writing: no later call runs, and the next
-    :meth:`submit` or the clean exit re-raises that error on the calling
-    thread. Leaving the ``with`` block joins the thread; leaving it by an
-    exception drops the calls still waiting.
+
+def _in_processes(work, jobs, n_jobs: int):
+    """Yield ``work(job)`` for each of the ``n_jobs`` jobs of ``jobs()``, in job order.
+
+    Job *i* runs in process *i* mod *n*, with *n* = :func:`_usable_cpus`
+    capped at ``n_jobs``: this process keeps share 0 and a forked child
+    takes each other share, sending its results back over its own pipe.
+    Every process calls ``jobs()`` itself, after the fork, so a file it
+    reads has its own offset in each. An exception a share raises is
+    re-raised here at the position of the job it raised at. Children end
+    only through ``os._exit``, so they never unwind into the caller's
+    ``finally`` blocks or flush its file buffers, and closing the
+    generator (or leaving it by an exception) kills and reaps every one:
+    callers close it before their own clean-up.
     """
+    n = min(_usable_cpus(), n_jobs)
+    if n < 2:
+        yield from map(work, jobs())
+        return
+    import signal   # 0.7 ms to import, so not on every stage's import path
+    pids, readers = [], []
+    try:
+        for k in range(1, n):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve_share(work, jobs, k, n, write_fd)
+            pids.append(pid)
+            os.close(write_fd)
+            readers.append(open(read_fd, "rb"))
+        shares = [map(work, itertools.islice(jobs(), 0, None, n))]
+        shares += map(_received, readers)
+        done = object()
+        # shares are strided over one job list, so the first to run out ends them all
+        for share in itertools.cycle(shares):
+            result = next(share, done)
+            if result is done:
+                return
+            yield result
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
 
-    DEPTH = 4   # four waiting RIRs of 1 s at 32 kHz are 1 MB of float64
 
-    def __init__(self):
-        self._pending = queue.Queue(maxsize=self.DEPTH)
-        self._error: BaseException | None = None
-        self._dropping = False
-        self._thread = threading.Thread(target=self._run, name="rirdist-wav-writer",
-                                        daemon=True)
+def _serve_share(work, jobs, k: int, n: int, write_fd: int):
+    """In a forked child: send ``work`` of every *n*-th job from job *k*, then exit."""
+    try:
+        with open(write_fd, "wb") as pipe:
+            def send(kind, value):
+                pipe.write(pickle.dumps((kind, value)))   # whole, or not at all
+                pipe.flush()
 
-    def _run(self) -> None:
-        # keeps taking calls after a failure, so a blocked submit or close never waits forever
-        while (call := self._pending.get()) is not None:
-            if self._error is None and not self._dropping:
-                write, args = call
-                try:
-                    write(*args)
-                except BaseException as exc:   # re-raised on the submitting thread
-                    self._error = exc
+            try:
+                for job in itertools.islice(jobs(), k, None, n):
+                    send("result", work(job))
+                send("end", None)
+            except BaseException as exc:   # re-raised in the parent at this job's position
+                send("raise", exc)
+    finally:
+        os._exit(0)
 
-    def submit(self, write, *args) -> None:
-        if self._error is not None:
-            raise self._error
-        self._pending.put((write, args))
 
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self._dropping = exc_type is not None
-        self._pending.put(None)
-        self._thread.join()
-        if exc_type is None and self._error is not None:
-            raise self._error
-        return False
+def _received(reader):
+    """The results a child's :func:`_serve_share` sends, in order."""
+    while True:
+        try:
+            kind, value = pickle.load(reader)
+        except EOFError:
+            raise ChildProcessError("a rirdist worker process ended before "
+                                    "its share of the jobs was done") from None
+        if kind == "end":
+            return
+        if kind == "raise":
+            raise value
+        yield value
 
 
 def cmd_generate(args) -> int:
@@ -145,25 +191,26 @@ def cmd_generate(args) -> int:
                           for kind in ("new", "old"))
         stage.mkdir()
         try:
-            metadata = []
-            # joined before the metadata is written and before stage is removed
-            with _BackgroundWriter() as writer:
-                for room in rooms:
-                    scenes = sample_scenes(room, args.n,
-                                           seed=_derived_seed(args.seed, room.room_id))
-                    for idx, scene in enumerate(scenes):
-                        rir = normalize_rir(synthesize_rir(room, scene, config))
-                        rir_id = f"room{room.room_id}_{idx:04d}"
-                        writer.submit(write_wav, stage / f"{rir_id}.wav",
-                                      rir.samples, rir.sample_rate)
-                        metadata.append({
-                            "rir_id": rir_id,
-                            "room_id": room.room_id,
-                            "source_pos": list(scene.source_pos),
-                            "receiver_pos": list(scene.receiver_pos),
-                            "norm_gain": float(rir.norm_gain),
-                            "seed": int(room.seed),
-                        })
+            jobs = [(room, f"room{room.room_id}_{idx:04d}", scene) for room in rooms
+                    for idx, scene in enumerate(sample_scenes(
+                        room, args.n, seed=_derived_seed(args.seed, room.room_id)))]
+
+            def synthesize(job) -> float:
+                room, rir_id, scene = job
+                rir = normalize_rir(synthesize_rir(room, scene, config))
+                write_wav(stage / f"{rir_id}.wav", rir.samples, rir.sample_rate)
+                return float(rir.norm_gain)
+
+            # closed, so every worker is gone, before the metadata is written or stage removed
+            with contextlib.closing(_in_processes(synthesize, lambda: jobs, len(jobs))) as gains:
+                metadata = [{
+                    "rir_id": rir_id,
+                    "room_id": room.room_id,
+                    "source_pos": list(scene.source_pos),
+                    "receiver_pos": list(scene.receiver_pos),
+                    "norm_gain": gain,
+                    "seed": int(room.seed),
+                } for (room, rir_id, scene), gain in zip(jobs, gains)]
             write_jsonl(stage / dataio.METADATA_NAME, metadata)
             # manifest last: its presence marks a complete corpus
             write_json(stage / dataio.MANIFEST_NAME, {
@@ -191,21 +238,25 @@ def cmd_analyze(args) -> int:
     out_path = Path(args.out) if args.out else corpus.directory / dataio.METRICS_NAME
     n_rows = n_failed = 0
 
-    def rows():
-        nonlocal n_rows, n_failed
-        for meta in corpus.rows():
-            n_rows += 1
-            rir = corpus.recording(meta)
-            metrics, error = None, None
-            try:
-                metrics = analyze_rir(rir)
-            except DESCRIPTOR_ERRORS as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                n_failed += 1
-            yield metrics_row(meta["rir_id"], metrics, rir.metadata_distance(), error)
+    def describe(meta: dict) -> dict:
+        rir = corpus.recording(meta)
+        metrics, error = None, None
+        try:
+            metrics = analyze_rir(rir)
+        except DESCRIPTOR_ERRORS as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        return metrics_row(meta["rir_id"], metrics, rir.metadata_distance(), error)
 
-    with output_lock(out_path.parent):
-        write_jsonl(out_path, rows())
+    def counted(rows):
+        nonlocal n_rows, n_failed
+        for row in rows:
+            n_rows += 1
+            n_failed += "error" in row
+            yield row
+
+    with output_lock(out_path.parent), contextlib.closing(
+            _in_processes(describe, corpus.rows, corpus.count())) as rows:
+        write_jsonl(out_path, counted(rows))
     print(f"analyzed {n_rows} RIRs ({n_failed} failed) -> {out_path}")
     return 1 if n_rows and n_failed == n_rows else 0
 
@@ -222,13 +273,17 @@ def cmd_filter(args) -> int:
     groups: dict = {}
     for row in enrollment.rows():
         groups.setdefault(row["room_id"], []).append(row)
-    profiles = {}
-    for room_id in corpus.room_ids():
+
+    def profile(room_id):
         group = groups.get(room_id, [])
         if len(group) < 2:
             raise MissingDataError(f"enrollment provides {len(group)} RIR(s) for room "
                                    f"{room_id!r}, need >= 2")
-        profiles[room_id] = build_reference_profile(map(enrollment.recording, group))
+        return build_reference_profile(map(enrollment.recording, group))
+
+    room_ids = corpus.room_ids()
+    with contextlib.closing(_in_processes(profile, lambda: room_ids, len(room_ids))) as built:
+        profiles = dict(zip(room_ids, built))
 
     out = Path(args.out) if args.out else corpus.directory
     n_input = 0

@@ -138,6 +138,14 @@ class Corpus:
             raise SchemaMismatchError(f"manifest in {self.directory} lists no room profiles; "
                                       f"re-run rirdist generate") from None
 
+    def count(self) -> int:
+        """How many RIRs the manifest says the corpus holds."""
+        count = self.manifest.get("count")
+        if type(count) is not int or count < 0:
+            raise SchemaMismatchError(f"manifest in {self.directory} has count {count!r}, "
+                                      f"not a number of RIRs; re-run rirdist generate")
+        return count
+
     def recording(self, row: dict) -> RIRecording:
         """The decoded WAV of a metadata row, with the row's scene."""
         samples, rate = read_wav(self.directory / f"{row['rir_id']}.wav")

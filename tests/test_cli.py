@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import shutil
+import signal
 import socket
+import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from rirdist.acoustics import EDC_GRID_POINTS, analyze_rir
 from rirdist.cli import main
 from rirdist.estimator import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, extract_features
 from rirdist.filtering import FilterCriteria
-from rirdist.synth import GeometryError, SynthesisConfig, builtin_room
+from rirdist.synth import GeometryError, SynthesisConfig, builtin_room, sample_scenes
 
 from helpers import (
     GOLDEN_EXPECTED,
@@ -193,123 +195,125 @@ def test_generate_writes_complete_corpus(tmp_path):
         SynthesisConfig(max_image_order=3, tail_crossover_ms=60.0))
 
 
-def _fail_write_wav_after(monkeypatch, n_written):
-    """Make generate's WAV writer raise once ``n_written`` WAVs are written."""
-    written = []
-
+def _fail_write_wav_at(monkeypatch, rir_id):
+    """Make generate's WAV writes raise for ``rir_id``, in whichever process writes it."""
     def failing_write_wav(path, samples, sample_rate):
-        if len(written) == n_written:
+        if path.name == f"{rir_id}.wav":
             raise OSError("disk full")
-        written.append(path)
         dataio.write_wav(path, samples, sample_rate)
 
     monkeypatch.setattr(cli, "write_wav", failing_write_wav)
-    return written
+
+
+def _fail_synthesis_at(monkeypatch, rir_id, n_per_room):
+    """Make generate's ``synthesize_rir`` raise for the scene of ``rir_id`` at ``--seed 0``."""
+    room_id, index = rir_id.removeprefix("room").split("_")
+    room = builtin_room(int(room_id))
+    scene = sample_scenes(room, n_per_room, seed=cli._derived_seed(0, room.room_id))[int(index)]
+    synthesize = cli.synthesize_rir
+
+    def failing_synthesize_rir(room, query, *args, **kwargs):
+        if query == scene:
+            raise GeometryError("source outside the room")
+        return synthesize(room, query, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "synthesize_rir", failing_synthesize_rir)
 
 
 def _snapshot(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):   # no child at all, not even one left to reap
+        os.waitpid(-1, os.WNOHANG)
+
+
+# generate's per-RIR work runs in one process per usable CPU; each failure
+# test runs with one process and with two
+PROCESS_COUNTS = (1, 2)
+
+
 def test_interrupted_regenerate_leaves_old_corpus_whole(tmp_path, monkeypatch):
     out = tmp_path / "corpus"
     assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "3", "--seed", "1"]) == 0
     before = _snapshot(out)
-    written = _fail_write_wav_after(monkeypatch, 2)
-    assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "3", "--seed", "2"]) == 2
-    assert len(written) == 2
-    assert _snapshot(out) == before
-    assert [p.name for p in tmp_path.iterdir()] == ["corpus"]   # no staging sibling left
+    for processes in PROCESS_COUNTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_usable_cpus", lambda: processes)
+            _fail_write_wav_at(patch, "room1_0002")
+            assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "3",
+                         "--seed", "2"]) == 2
+        assert _snapshot(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus"]   # no staging sibling left
+        _assert_no_child_left()
 
 
 def test_regenerate_after_an_interrupted_larger_run_leaves_no_extra_wavs(tmp_path, monkeypatch):
     out = tmp_path / "corpus"
     argv = ["generate", "--out", str(out), "--rooms", "1", "--seed", "1", "--n"]
-    assert main(argv + ["3"]) == 0
-    with monkeypatch.context() as patch:
-        _fail_write_wav_after(patch, 4)
-        assert main(argv + ["5"]) == 2
-    assert main(argv + ["2"]) == 0
-    assert sorted(p.name for p in out.iterdir()) == sorted(
-        [dataio.MANIFEST_NAME, dataio.METADATA_NAME, "room1_0000.wav", "room1_0001.wav"])
-    assert [p.name for p in tmp_path.iterdir()] == ["corpus"]
+    for processes in PROCESS_COUNTS:
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: processes)
+        assert main(argv + ["3"]) == 0
+        with monkeypatch.context() as patch:
+            _fail_write_wav_at(patch, "room1_0004")
+            assert main(argv + ["5"]) == 2
+        _assert_no_child_left()
+        assert main(argv + ["2"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [dataio.MANIFEST_NAME, dataio.METADATA_NAME, "room1_0000.wav", "room1_0001.wav"])
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus"]
 
 
 def test_generate_writes_no_wav_after_a_failed_one(tmp_path, monkeypatch):
+    """The process whose write fails writes nothing after it; the others are
+    stopped, and the whole staging directory goes."""
     out = tmp_path / "corpus"
     assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "3", "--seed", "1"]) == 0
     before = _snapshot(out)
-    calls = []
+    for processes in PROCESS_COUNTS:
+        log = tmp_path / f"writes-{processes}.log"   # appended to by every process
 
-    def failing_write_wav(path, samples, sample_rate):
-        calls.append(path)
-        if len(calls) == 3:
-            time.sleep(0.2)   # the RIRs after it are synthesized and waiting meanwhile
-            raise OSError("disk full")
-        dataio.write_wav(path, samples, sample_rate)
-
-    monkeypatch.setattr(cli, "write_wav", failing_write_wav)
-    assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "8", "--seed", "2"]) == 2
-    assert [path.name for path in calls] == [f"room1_000{i}.wav" for i in range(3)]
-    assert _snapshot(out) == before
-    assert [p.name for p in tmp_path.iterdir()] == ["corpus"]
-
-
-def test_background_writer_keeps_order_and_stops_at_a_failure():
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)   # the threads trade the interpreter lock far more often
-    try:
-        done = []
-        with cli._BackgroundWriter() as writer:
-            for i in range(2000):
-                writer.submit(done.append, i)
-        assert done == list(range(2000))
-
-        def append_below_700(i):
-            if i == 700:
+        def failing_write_wav(path, samples, sample_rate):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {path.name}\n")
+            if path.name == "room1_0002.wav":
                 raise OSError("disk full")
-            done.append(i)
+            dataio.write_wav(path, samples, sample_rate)
 
-        done.clear()
-        with pytest.raises(OSError, match="disk full"):
-            with cli._BackgroundWriter() as writer:
-                for i in range(2000):
-                    writer.submit(append_below_700, i)
-        assert done == list(range(700))
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def _slow_write_wav(path, samples, sample_rate):
-    time.sleep(0.05)
-    dataio.write_wav(path, samples, sample_rate)
-
-
-def _fail_synthesis_on_call(monkeypatch, n_call):
-    """Make generate's ``synthesize_rir`` raise on its ``n_call``-th call."""
-    synthesize, calls = cli.synthesize_rir, []
-
-    def failing_synthesize_rir(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == n_call:
-            raise GeometryError("source outside the room")
-        return synthesize(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "synthesize_rir", failing_synthesize_rir)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_usable_cpus", lambda: processes)
+            patch.setattr(cli, "write_wav", failing_write_wav)
+            assert main(["generate", "--out", str(out), "--rooms", "1", "--n", "8",
+                         "--seed", "2"]) == 2
+        writes = [line.split() for line in log.read_text().splitlines()]
+        log.unlink()
+        # job 2 is this process's with one process or two: none of its later jobs ran
+        assert [name for pid, name in writes if pid == str(os.getpid())] == \
+            [f"room1_000{i}.wav" for i in range(0, 3, processes)]
+        assert _snapshot(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus"]
+        _assert_no_child_left()
 
 
 @pytest.mark.parametrize("failure", [None, "write", "synthesis"])
 def test_generate_leaves_no_thread_behind(tmp_path, monkeypatch, failure):
+    """Nor any worker process, whether it succeeds or fails, and whichever
+    process the failing RIR belongs to."""
     argv = ["generate", "--out", str(tmp_path / "corpus"), "--rooms", "1", "--n", "8"]
-    if failure == "write":
-        _fail_write_wav_after(monkeypatch, 3)
-    elif failure == "synthesis":
-        monkeypatch.setattr(cli, "write_wav", _slow_write_wav)
-        _fail_synthesis_on_call(monkeypatch, 5)
-    before = threading.enumerate()
-    assert main(argv) == (0 if failure is None else 2)
-    assert threading.enumerate() == before
-    assert not list(tmp_path.glob(".corpus.rirdist-new-*"))
+    for processes in PROCESS_COUNTS:
+        for rir_id in ("room1_0004", "room1_0005"):   # job 4 is the parent's, job 5 a child's
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_usable_cpus", lambda: processes)
+                if failure == "write":
+                    _fail_write_wav_at(patch, rir_id)
+                elif failure == "synthesis":
+                    _fail_synthesis_at(patch, rir_id, 8)
+                before = threading.enumerate()
+                assert main(argv) == (0 if failure is None else 2)
+            assert threading.enumerate() == before
+            assert not list(tmp_path.glob(".corpus.rirdist-new-*"))
+            _assert_no_child_left()
 
 
 def test_regenerate_keeps_out_locked_through_the_swap(tmp_path, monkeypatch):
@@ -470,6 +474,223 @@ def test_a_manifest_is_a_room_profile_file(tmp_path):
         shutil.rmtree(again)
 
 
+# ---------------------------------------------------------- worker processes
+
+@pytest.fixture()
+def deadline():
+    """Fail with TimeoutError after 60 s, where a worker that never answers
+    would hang the test."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _job_pid_and_payload(job):
+    return job, os.getpid(), np.full(10_000, job)   # 80 KB, more than a pipe buffer holds
+
+
+@pytest.mark.parametrize("processes", [1, 2, 4])
+def test_in_processes_returns_results_in_job_order(monkeypatch, deadline, processes):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: processes)
+    results = list(cli._in_processes(_job_pid_and_payload, lambda: range(50), 50))
+    assert [job for job, _, _ in results] == list(range(50))
+    assert all(np.array_equal(payload, np.full(10_000, job)) for job, _, payload in results)
+    pids = [pid for _, pid, _ in results]
+    assert pids[0] == os.getpid()   # this process keeps share 0
+    assert pids == [pids[job % processes] for job in range(50)]
+    assert len(set(pids)) == processes
+    few = cli._in_processes(_job_pid_and_payload, lambda: range(3), 3)
+    assert len({pid for _, pid, _ in few}) == min(processes, 3)   # no idle worker
+    _assert_no_child_left()
+
+
+def test_an_abandoned_in_processes_generator_leaves_no_child(monkeypatch, deadline):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    results = cli._in_processes(_job_pid_and_payload, itertools.count, 10**9)
+    assert [next(results)[0] for _ in range(3)] == [0, 1, 2]
+    del results   # the child is still working, blocked on its full pipe
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("interrupted", [4, 5])   # a job of this process's share, a child's
+def test_a_keyboard_interrupt_leaves_no_child(monkeypatch, deadline, interrupted):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+    def work(job):
+        if job == interrupted:
+            raise KeyboardInterrupt
+        return job
+
+    results = []
+    with pytest.raises(KeyboardInterrupt):
+        for result in cli._in_processes(work, lambda: range(10), 10):
+            results.append(result)
+    assert results == list(range(interrupted))
+    _assert_no_child_left()
+
+
+def test_a_worker_that_dies_is_an_error_not_a_short_result(monkeypatch, deadline):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+    def work(job):
+        if job == 3:
+            os._exit(1)
+        return job
+
+    with pytest.raises(ChildProcessError):
+        list(cli._in_processes(work, lambda: range(10), 10))
+    _assert_no_child_left()
+
+
+_CPUS_PROBE = """
+import os, threading
+from rirdist import cli
+
+threads, alone = len(os.listdir("/proc/self/task")), cli._usable_cpus()
+stop = threading.Event()
+thread = threading.Thread(target=stop.wait)
+thread.start()
+beside_a_thread = cli._usable_cpus()
+stop.set()
+thread.join()
+print(threads, alone, beside_a_thread, len(os.sched_getaffinity(0)))
+"""
+
+
+@pytest.mark.parametrize("blas_threads", ["1", None])
+def test_workers_are_forked_only_from_a_single_threaded_process(blas_threads):
+    """In a fresh interpreter (pytest runs a watchdog thread of its own): one
+    process per CPU, but only one beside a Python thread, or beside the pool
+    OpenBLAS starts when no variable limits it to one thread."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    probe = subprocess.run([sys.executable, "-c", _CPUS_PROBE], env=env, capture_output=True,
+                           text=True, timeout=60, check=True)
+    threads, alone, beside_a_thread, cpus = map(int, probe.stdout.split())
+    if blas_threads == "1":
+        assert threads == 1
+    assert alone == (cpus if threads == 1 else 1)
+    assert beside_a_thread == 1
+
+
+@pytest.mark.parametrize("damage, code", [("missing", 3), ("garbled", 2)])
+def test_a_wav_error_in_a_childs_share_fails_analyze_as_in_this_process(
+        tmp_path, monkeypatch, capsys, deadline, damage, code):
+    """Job 1 is a child's with two processes and this process's with one:
+    the exit code and the message are the same."""
+    corpus = tmp_path / "corpus"
+    _write_corpus(corpus, sorted(golden_corpus().items()))
+    broken = corpus / f"{sorted(golden_corpus())[1]}.wav"
+    if damage == "missing":
+        broken.unlink()
+    else:
+        broken.write_bytes(b"RIFF" + bytes(40))
+    errors = []
+    for processes in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: processes)
+        assert main(["analyze", "--in", str(corpus)]) == code
+        errors.append(capsys.readouterr().err)
+        assert not (corpus / dataio.METRICS_NAME).exists()
+        _assert_no_child_left()
+    assert broken.name in errors[0]
+    assert errors[1] == errors[0]
+
+
+def test_analyze_counts_the_failures_of_every_share(tmp_path, monkeypatch, capsys, deadline):
+    corpus = tmp_path / "corpus"
+    _write_corpus(corpus, sorted(golden_corpus().items()))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    ids = sorted(golden_corpus())
+    for rir_id in ids[1::2]:   # every failing RIR is in the child's share
+        dataio.write_wav(corpus / f"{rir_id}.wav", np.zeros(32000), 32000)
+    assert main(["analyze", "--in", str(corpus)]) == 0
+    assert f"({len(ids) // 2} failed)" in capsys.readouterr().out
+    rows = dataio.read_jsonl(corpus / dataio.METRICS_NAME)
+    assert [row["rir_id"] for row in rows if "error" in row] == ids[1::2]
+    for rir_id in ids[0::2]:
+        dataio.write_wav(corpus / f"{rir_id}.wav", np.zeros(32000), 32000)
+    assert main(["analyze", "--in", str(corpus)]) == 1   # every row failed
+    _assert_no_child_left()
+
+
+def test_analyze_stops_its_workers_before_it_releases_its_lock(tmp_path, monkeypatch, deadline):
+    corpus = tmp_path / "corpus"
+    _write_corpus(corpus, sorted(golden_corpus().items()))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+    def failing_write_jsonl(path, rows):
+        next(rows)
+        raise OSError("disk full")   # while the workers wait to send their next rows
+
+    children_at_release = []
+
+    class watched_lock(dataio.output_lock):
+        def __exit__(self, *exc_info):
+            try:
+                children_at_release.append(os.waitpid(-1, os.WNOHANG))
+            except ChildProcessError:
+                children_at_release.append(None)
+            return super().__exit__(*exc_info)
+
+    monkeypatch.setattr(cli, "write_jsonl", failing_write_jsonl)
+    monkeypatch.setattr(cli, "output_lock", watched_lock)
+    assert main(["analyze", "--in", str(corpus)]) == 2
+    assert children_at_release == [None]
+    _assert_no_child_left()
+
+
+_PIPELINE = """
+import sys
+from pathlib import Path
+from rirdist import cli
+
+processes, base = int(sys.argv[1]), Path(sys.argv[2])
+cli._usable_cpus = lambda: processes
+corpus, enroll, model, evaluation = (base / name for name in ("corpus", "enroll", "model", "eval"))
+for argv in (
+    ["generate", "--out", corpus, "--rooms", "1-3", "--n", "8", "--seed", "7"],
+    ["generate", "--out", enroll, "--rooms", "1-3", "--n", "4", "--seed", "1007"],
+    ["analyze", "--in", corpus],
+    ["filter", "--in", corpus, "--enrollment", enroll],
+    ["train", "--in", corpus, "--out", model, "--seed", "7", "--epoch-grid", "5,10"],
+    ["eval", "--model", model / "model.json", "--dataset", model / "holdout.jsonl",
+     "--out", evaluation],
+    ["report", "--eval", evaluation / "eval.json", "--out", base / "report", "--svg"],
+):
+    if cli.main([str(arg) for arg in argv]) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_a_forked_pipeline_beside_openblas_threads_matches_one_process(tmp_path):
+    """With OPENBLAS_NUM_THREADS unset, OpenBLAS starts a thread per core, and
+    rirdist keeps its work in one process; forced to fork beside those
+    threads, a small golden-shaped run still finishes, split over two or four
+    processes, and writes every byte the same run writes in one."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    trees = {}
+    for processes in (1, 2, 4):
+        base = tmp_path / str(processes)
+        subprocess.run([sys.executable, "-c", _PIPELINE, str(processes), str(base)],
+                       env=env, capture_output=True, timeout=120, check=True)
+        trees[processes] = {str(path.relative_to(base)): path.read_bytes()
+                            for path in sorted(base.rglob("*")) if path.is_file()}
+    assert len(trees[1]) == 36 + 16   # WAVs, and every other artifact of the seven stages
+    assert trees[2] == trees[1]
+    assert trees[4] == trees[1]
+
+
 # ------------------------------------------------------------------- analyze
 
 def test_analyze_emits_one_row_per_rir(tmp_path):
@@ -547,6 +768,18 @@ def test_analyze_missing_manifest_is_missing_data(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["analyze", "--in", str(empty)]) == 3
+
+
+@pytest.mark.parametrize("count", ["8", -1, None, True])
+def test_analyze_refuses_a_manifest_without_a_count(tmp_path, capsys, count):
+    corpus = tmp_path / "corpus"
+    _write_corpus(corpus, sorted(golden_corpus().items()))
+    manifest = dataio.read_json(corpus / dataio.MANIFEST_NAME)
+    manifest["count"] = count
+    dataio.write_json(corpus / dataio.MANIFEST_NAME, manifest)
+    assert main(["analyze", "--in", str(corpus)]) == 4
+    assert f"has count {count!r}" in capsys.readouterr().err
+    assert not (corpus / dataio.METRICS_NAME).exists()
 
 
 def test_analyze_respects_output_lock(tmp_path):
@@ -794,9 +1027,9 @@ def test_filter_refuses_metrics_of_another_corpus(golden_dirs, capsys, edit):
     assert not (corpus / dataio.LOCK_FILENAME).exists()
 
 
-def test_filter_reads_each_manifest_and_metadata_file_once(golden_dirs, monkeypatch):
+def test_filter_reads_each_manifest_and_metadata_file_once(golden_dirs, monkeypatch, tmp_path):
     corpus, enroll = golden_dirs
-    manifests = _count_calls(monkeypatch, "read_json", corpus_module)
+    manifests = _count_calls(monkeypatch, tmp_path / "manifests.log", "read_json", corpus_module)
     walked = []
 
     def counting_iter_jsonl(path):
@@ -805,7 +1038,7 @@ def test_filter_reads_each_manifest_and_metadata_file_once(golden_dirs, monkeypa
 
     monkeypatch.setattr(corpus_module, "iter_jsonl", counting_iter_jsonl)
     assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll)]) == 0
-    assert len(manifests) == 2   # the corpus's and the enrollment's
+    assert manifests() == 2   # the corpus's and the enrollment's
     assert sorted(map(str, walked)) == sorted(
         ["corpus/metadata.jsonl", "corpus/metrics.jsonl", "enroll/metadata.jsonl"])
 
@@ -924,18 +1157,20 @@ def test_report_text_names_the_payload_bin_width():
     assert "[0, 0.25)" in text
 
 
-def _count_calls(monkeypatch, name, *modules):
-    """Record every call of ``name`` made through its binding in ``modules``."""
+def _count_calls(monkeypatch, log: Path, name, *modules):
+    """Count every call of ``name`` made through its binding in ``modules``, in
+    this process and in the workers it forks: each call appends a line to
+    ``log``. Returns a function that reads the count so far."""
     original = getattr(modules[0], name)
-    calls = []
 
     def counting(*args, **kwargs):
-        calls.append(name)
+        with open(log, "a") as handle:
+            handle.write(f"{name}\n")
         return original(*args, **kwargs)
 
     for module in modules:
         monkeypatch.setattr(module, name, counting)
-    return calls
+    return lambda: len(log.read_text().splitlines()) if log.exists() else 0
 
 
 def test_filter_and_train_do_one_descriptor_pass_per_rir(pipeline_dirs, tmp_path,
@@ -947,14 +1182,14 @@ def test_filter_and_train_do_one_descriptor_pass_per_rir(pipeline_dirs, tmp_path
     shutil.copytree(source, corpus)
     n_corpus = len(dataio.read_jsonl(corpus / dataio.METADATA_NAME))
     n_enroll = len(dataio.read_jsonl(enroll / dataio.METADATA_NAME))
-    edc_calls = _count_calls(monkeypatch, "schroeder_edc", acoustics)
-    wav_reads = _count_calls(monkeypatch, "read_wav", dataio, corpus_module)
+    edc_calls = _count_calls(monkeypatch, tmp_path / "edc.log", "schroeder_edc", acoustics)
+    wav_reads = _count_calls(monkeypatch, tmp_path / "wav.log", "read_wav", dataio, corpus_module)
     assert main(["analyze", "--in", str(corpus)]) == 0
-    assert (len(wav_reads), len(edc_calls)) == (n_corpus, n_corpus)
+    assert (wav_reads(), edc_calls()) == (n_corpus, n_corpus)
     screened = tmp_path / "screened"
     assert main(["filter", "--in", str(corpus), "--enrollment", str(enroll),
                  "--out", str(screened)]) == 0
-    assert (len(wav_reads), len(edc_calls)) == (n_corpus + n_enroll, n_corpus + n_enroll)
+    assert (wav_reads(), edc_calls()) == (n_corpus + n_enroll, n_corpus + n_enroll)
 
     decisions = screened / dataio.DECISIONS_NAME
     accepted = sum(row["accepted"] for row in dataio.read_jsonl(decisions))
@@ -962,7 +1197,7 @@ def test_filter_and_train_do_one_descriptor_pass_per_rir(pipeline_dirs, tmp_path
     assert main(["train", "--in", str(corpus), "--decisions", str(decisions),
                  "--out", str(tmp_path / "model"), "--seed", "3",
                  "--step-grid", "1", "--epoch-grid", "5"]) == 0
-    assert (len(wav_reads), len(edc_calls)) == (n_corpus + n_enroll, n_corpus + n_enroll)
+    assert (wav_reads(), edc_calls()) == (n_corpus + n_enroll, n_corpus + n_enroll)
 
 
 def _train_argv(corpus, out, *extra):
