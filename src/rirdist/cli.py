@@ -265,10 +265,7 @@ def cmd_filter(args) -> int:
     criteria = FilterCriteria(**{field.name: getattr(args, field.name)
                                  for field in dataclasses.fields(FilterCriteria)})
     corpus = Corpus(args.in_dir)
-    metrics_path = corpus.directory / dataio.METRICS_NAME
-    if not metrics_path.is_file():
-        raise MissingDataError(f"{metrics_path} not found: filter screens the rows analyze "
-                               f"writes; run rirdist analyze --in {corpus.directory} first")
+    described = corpus.paired_rows((corpus.directory / dataio.METRICS_NAME, "analyze"), grids=True)
     enrollment = Corpus(args.enrollment)
     groups: dict = {}
     for row in enrollment.rows():
@@ -292,12 +289,10 @@ def cmd_filter(args) -> int:
     discrepancies = []
 
     def decision_rows():
-        """Each decisions row as the screen decides it: only the counts above are kept."""
+        """Each RIR's verdict as the screen reaches it: only the counts above are kept."""
         nonlocal n_input
         # filter_batch yields decisions only; tee hands this loop each row beside its decision
-        checked, screened = itertools.tee(
-            (meta["room_id"], row)
-            for meta, row in corpus.paired_rows(metrics_path, "analyze", grids=True))
+        checked, screened = itertools.tee((meta["room_id"], row) for meta, row in described)
         for (_, row), decision in zip(checked, filter_batch(screened, profiles, criteria)):
             n_input += 1
             for reason in decision.reasons:
@@ -306,9 +301,9 @@ def cmd_filter(args) -> int:
                 accepted_distances.append(row["distance_m"])
             if row["measured_distance_m"] is not None:
                 discrepancies.append(abs(row["measured_distance_m"] - row["distance_m"]))
-            del row["edc_grid_db"]
-            yield {"rir_id": row.pop("rir_id"), "accepted": decision.accepted,
-                   "reasons": decision.reason_names(), **row}
+            yield {"rir_id": row["rir_id"], "distance_m": row["distance_m"],
+                   "accepted": decision.accepted, "reasons": decision.reason_names(),
+                   **({} if decision.error is None else {"error": decision.error})}
 
     with output_lock(out):
         write_jsonl(out / dataio.DECISIONS_NAME, decision_rows())
@@ -341,21 +336,22 @@ def cmd_filter(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if not 0.0 <= args.holdout < 1.0:   # nan too
+        raise ValueError(f"--holdout must be in [0, 1), got {args.holdout}")
     corpus = Corpus(args.in_dir)
     decisions = Path(args.decisions) if args.decisions else corpus.directory / dataio.DECISIONS_NAME
     room_filter = {room.room_id for room in parse_rooms(args.rooms)} if args.rooms else None
 
     samples = []
-    for meta, decision in corpus.paired_rows(decisions, "filter"):
+    for meta, decision, row in corpus.paired_rows(
+            (decisions, "filter"), (corpus.directory / dataio.METRICS_NAME, "analyze")):
         accepted = decision.get("accepted")
         if type(accepted) is not bool:
             raise SchemaMismatchError(f"{decisions}: row {decision['rir_id']!r} has accepted "
                                       f"{accepted!r}, not true or false; re-run rirdist "
                                       f"filter --in {corpus.directory}")
-        if accepted:
-            sample = parse_feature_row(decision)   # from filter; no WAV decoded
-            if room_filter is None or meta["room_id"] in room_filter:
-                samples.append(sample)
+        if accepted and (room_filter is None or meta["room_id"] in room_filter):
+            samples.append(parse_feature_row(row))   # analyze's features; no WAV decoded
     if not samples:
         raise ValueError("no accepted RIRs to train on")
 
@@ -402,14 +398,7 @@ def cmd_eval(args) -> int:
         model = EstimatorModel.from_json_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatchError(f"model {args.model} does not load: {exc!r}") from exc
-    rows = []
-    for row in read_jsonl(args.dataset):
-        if "error" in row:   # analyze could not describe this RIR, so it has no features
-            raise SchemaMismatchError(
-                f"dataset {args.dataset}: row {row.get('rir_id')!r} has no features, because "
-                f"its descriptors failed ({row['error']}); eval scores every row, so "
-                f"pass a dataset without it")
-        rows.append(parse_feature_row(row))
+    rows = [parse_feature_row(row) for row in read_jsonl(args.dataset)]
     if not rows:
         raise ValueError(f"dataset {args.dataset} is empty")
 
@@ -466,7 +455,8 @@ def _read_scatter_points(source: Path) -> list[tuple[float, float]]:
         raise MissingDataError(f"per-sample CSV not found for scatter: {source}")
     points = []
     with open(source) as handle:
-        next(handle)
+        if not handle.readline():
+            raise ValueError(f"{source}: empty, without even its header row")
         for line in handle:
             try:
                 _, truth, pred, _ = line.rstrip("\n").split(",")

@@ -154,9 +154,10 @@ class Corpus:
                            receiver_pos=tuple(row["receiver_pos"]),
                            room_id=row["room_id"], norm_gain=row["norm_gain"])
 
-    def paired_rows(self, path: Path, stage: str,
-                    grids: bool = False) -> Iterator[tuple[dict, dict]]:
-        """(metadata row, row) of each row of ``path``, read one at a time.
+    def paired_rows(self, *artifacts: tuple[Path, str],
+                    grids: bool = False) -> Iterator[tuple[dict, ...]]:
+        """(metadata row, row, ...) of each RIR, with its row of each ``(path, stage)``
+        artifact; one walk of the corpus reads every file one row at a time.
 
         ``path`` is an artifact ``stage`` wrote for this corpus: its rows must
         be the corpus's RIRs in corpus order at the metadata distances, and
@@ -164,37 +165,52 @@ class Corpus:
         (see :func:`decode_grid`). Anything else is a file of another corpus
         or of an older ``stage``.
         """
-        def mismatch(why: str) -> SchemaMismatchError:
-            return SchemaMismatchError(f"{path} does not describe the corpus in "
-                                       f"{self.directory}: {why}; re-run rirdist {stage} "
-                                       f"--in {self.directory}")
+        readers = []
+        for path, stage in artifacts:
+            def mismatch(why: str, path=path, stage=stage) -> SchemaMismatchError:
+                return SchemaMismatchError(f"{path} does not describe the corpus in "
+                                           f"{self.directory}: {why}; re-run rirdist {stage} "
+                                           f"--in {self.directory}")
 
-        rows = iter_jsonl(path)
+            readers.append((self._artifact_rows(path, stage), mismatch))
         for meta in self.rows():
-            row = next(rows, None)
-            if row is None:
-                raise mismatch(f"it ends before {meta['rir_id']}")
-            if row.get("rir_id") != meta["rir_id"]:
-                raise mismatch(f"row {row.get('rir_id')!r} where the corpus has {meta['rir_id']}")
             expected = source_receiver_distance(meta["source_pos"], meta["receiver_pos"])
-            if row.get("distance_m") != expected:   # same floats on both sides when it matches
-                raise mismatch(f"{meta['rir_id']} is at {row.get('distance_m')!r} m there "
-                               f"and at {expected!r} m in the metadata")
-            if grids:
-                grid = row.get("edc_grid_db", ())   # null only on an error row
-                if isinstance(grid, list):
-                    raise mismatch(f"{meta['rir_id']} has its edc_grid_db as a list of "
-                                   f"floats, which an older analyze wrote")
-                if isinstance(grid, str):
-                    try:
-                        row["edc_grid_db"] = decode_grid(grid)
-                    except ValueError as exc:
-                        raise mismatch(f"{meta['rir_id']} has an edc_grid_db that {exc}") from None
-                elif not (grid is None and "error" in row):
-                    raise mismatch(f"{meta['rir_id']} has no edc_grid_db")
-            yield meta, row
-        if next(rows, None) is not None:
-            raise mismatch("it has rows past the corpus's last RIR")
+            paired = [meta]
+            for rows, mismatch in readers:
+                row = next(rows, None)
+                if row is None:
+                    raise mismatch(f"it ends before {meta['rir_id']}")
+                if row.get("rir_id") != meta["rir_id"]:
+                    raise mismatch(f"row {row.get('rir_id')!r} where the corpus has "
+                                   f"{meta['rir_id']}")
+                if row.get("distance_m") != expected:   # same floats on both sides when it matches
+                    raise mismatch(f"{meta['rir_id']} is at {row.get('distance_m')!r} m there "
+                                   f"and at {expected!r} m in the metadata")
+                if grids:
+                    grid = row.get("edc_grid_db", ())   # null only on an error row
+                    if isinstance(grid, list):
+                        raise mismatch(f"{meta['rir_id']} has its edc_grid_db as a list of "
+                                       f"floats, which an older analyze wrote")
+                    if isinstance(grid, str):
+                        try:
+                            row["edc_grid_db"] = decode_grid(grid)
+                        except ValueError as exc:
+                            raise mismatch(f"{meta['rir_id']} has an edc_grid_db "
+                                           f"that {exc}") from None
+                    elif not (grid is None and "error" in row):
+                        raise mismatch(f"{meta['rir_id']} has no edc_grid_db")
+                paired.append(row)
+            yield tuple(paired)
+        for rows, mismatch in readers:
+            if next(rows, None) is not None:
+                raise mismatch("it has rows past the corpus's last RIR")
+
+    def _artifact_rows(self, path: Path, stage: str) -> Iterator[dict]:
+        """The rows of ``path``; if it is missing, the error names the ``stage`` to run."""
+        if not Path(path).is_file():
+            raise dataio.MissingDataError(f"{path} not found; run rirdist {stage} "
+                                          f"--in {self.directory} first")
+        yield from iter_jsonl(path)
 
 
 def encode_grid(grid: np.ndarray) -> str:
@@ -222,22 +238,19 @@ def decode_grid(text: str) -> np.ndarray:
 
 def metrics_row(rir_id: str, metrics: AcousticMetrics | None, distance: float | None,
                 error: str | None) -> dict:
-    """One RIR's ``metrics.jsonl`` row. Descriptors are None without ``metrics``;
-    ``error`` and the feature keys appear only when there are some. The decay
-    grid ``edc_grid_db`` comes last, as :func:`encode_grid` text, so ``filter``
-    drops it from its rows."""
+    """One RIR's ``metrics.jsonl`` row, each value in it once: the DRR, energy
+    and direct delay are kept only as features. Descriptors are None without
+    ``metrics``; ``error`` and the feature keys appear only when there are
+    some. The decay grid ``edc_grid_db`` comes last, as :func:`encode_grid` text."""
     def value(convert, name):
         return None if metrics is None else convert(getattr(metrics, name))
 
     row = {
         "rir_id": rir_id,
         "t60_s": value(float, "t60_s"),
-        "drr_db": value(float, "drr_db"),
         "distance_m": distance,
-        "direct_index": value(int, "direct_index"),
         "measured_distance_m": value(float, "geometric_distance_m"),
         "echo_density": value(list, "echo_density"),
-        "total_energy_db": value(float, "total_energy_db"),
         "flags": value(sorted, "flags"),
     }
     if error is not None:
@@ -256,7 +269,10 @@ def with_features(row: dict, fv: FeatureVector) -> dict:
 
 
 def parse_feature_row(row: dict) -> tuple[str, FeatureVector, float]:
-    """(rir_id, features, distance) of a metrics, decisions or holdout row."""
+    """(rir_id, features, distance) of a metrics or holdout row, each value a number."""
+    if "error" in row:   # analyze could not describe this RIR, so it has no features
+        raise SchemaMismatchError(f"feature row {row.get('rir_id')!r} has no features, because "
+                                  f"its descriptors failed ({row['error']})")
     if row.get("feature_schema_version") != FEATURE_SCHEMA_VERSION:
         raise SchemaMismatchError(
             f"feature row {row.get('rir_id')!r} carries schema "
@@ -264,9 +280,12 @@ def parse_feature_row(row: dict) -> tuple[str, FeatureVector, float]:
             f"re-run the stage that wrote it"
         )
     try:
-        values = row["features"]
-        fv = FeatureVector(**{name: values[name] for name in FEATURE_NAMES})
-        return row["rir_id"], fv, float(row["distance_m"])
+        values = {name: row["features"][name] for name in FEATURE_NAMES}
+        rir_id, distance = row["rir_id"], row["distance_m"]
     except (KeyError, TypeError) as exc:
         raise SchemaMismatchError(
             f"feature row {row.get('rir_id')!r} is malformed: {exc}") from exc
+    for name, value in [*values.items(), ("distance_m", distance)]:
+        if not _is_real(value):
+            raise SchemaMismatchError(f"feature row {rir_id!r} has {name} {value!r}, not a number")
+    return rir_id, FeatureVector(**values), float(distance)

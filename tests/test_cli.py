@@ -702,7 +702,7 @@ def test_analyze_emits_one_row_per_rir(tmp_path):
     assert len(rows) == dataio.read_json(corpus / dataio.MANIFEST_NAME)["count"]
     for row in rows:
         assert row["t60_s"] > 0.0
-        assert row["direct_index"] >= 0
+        assert row["features"]["direct_delay_ms"] >= 0.0
         assert row["distance_m"] > 0.0
         assert len(row["echo_density"]) == 10
         assert row["flags"] == sorted(row["flags"])
@@ -927,27 +927,34 @@ def test_filter_streams_the_corpus(pipeline_dirs, tmp_path, monkeypatch):
         assert double - single < 3 * 32 * 256, (stage, single, double)
 
 
-def test_decisions_carry_each_rirs_features(pipeline_dirs):
+_VERDICT_KEYS = ["rir_id", "distance_m", "accepted", "reasons"]
+
+
+def test_each_value_is_stored_once(pipeline_dirs):
+    """A metrics row holds each RIR's features, bit for bit as ``analyze_rir``
+    gives them, and no top-level copy of one; a decisions row is the verdict
+    alone, so train reads the features where analyze wrote them."""
     corpus_dir, _, _ = pipeline_dirs
     opened = corpus_module.Corpus(corpus_dir)
     metadata = {row["rir_id"]: row for row in opened.rows()}
-    rows = dataio.read_jsonl(corpus_dir / dataio.DECISIONS_NAME)
-    assert any(row["accepted"] for row in rows)
-    for row in rows:
-        if row["t60_s"] is None:                 # no metrics, so no features
-            assert "features" not in row
-            continue
-        assert list(row)[-2:] == ["feature_schema_version", "features"]
+    metrics = dataio.read_jsonl(corpus_dir / dataio.METRICS_NAME)
+    for row in metrics:
+        assert not set(row) & set(row["features"]), row["rir_id"]
         assert row["feature_schema_version"] == FEATURE_SCHEMA_VERSION
         rir = opened.recording(metadata[row["rir_id"]])
         recomputed = extract_features(analyze_rir(rir)).as_array()
         assert [row["features"][name].hex() for name in FEATURE_NAMES] \
             == [float(value).hex() for value in recomputed]
+    decisions = dataio.read_jsonl(corpus_dir / dataio.DECISIONS_NAME)
+    assert len(decisions) == len(metrics) and any(row["accepted"] for row in decisions)
+    for row in decisions:
+        assert list(row) == _VERDICT_KEYS
 
 
-def test_metrics_rows_are_decision_rows_without_the_verdict(golden_dirs):
-    """filter builds its rows from analyze's: a decisions row is the metrics row
-    with ``accepted`` and ``reasons`` after ``rir_id`` and without ``edc_grid_db``."""
+def test_a_decision_row_is_the_verdict_alone(golden_dirs):
+    """filter adds only its verdict to analyze's rows: each decisions row names
+    the RIR and its distance, then ``accepted`` and ``reasons``, and ends in the
+    ``error`` of an RIR whose descriptors failed."""
     corpus, enroll = golden_dirs
     first = dataio.read_jsonl(corpus / dataio.METADATA_NAME)[0]["rir_id"]
     dataio.write_wav(corpus / f"{first}.wav", np.zeros(32000), 32000)   # an error row
@@ -956,14 +963,13 @@ def test_metrics_rows_are_decision_rows_without_the_verdict(golden_dirs):
     metrics = dataio.read_jsonl(corpus / dataio.METRICS_NAME)
     decisions = dataio.read_jsonl(corpus / dataio.DECISIONS_NAME)
     assert len(metrics) == len(decisions)
-    assert "error" in metrics[0] and metrics[0]["t60_s"] is None
-    assert metrics[0]["edc_grid_db"] is None
-    assert decisions[0]["error"] == metrics[0]["error"] and not decisions[0]["accepted"]
-    for described, decided in zip(metrics, decisions):
-        assert described.pop("edc_grid_db", "absent") != "absent"
-        assert list(decided)[:3] == ["rir_id", "accepted", "reasons"]
-        assert list(decided)[3:] == list(described)[1:]
-        assert {key: decided[key] for key in described} == described
+    assert "ZeroEnergyError" in metrics[0]["error"]
+    assert decisions[0] == {"rir_id": first, "distance_m": metrics[0]["distance_m"],
+                            "accepted": False, "reasons": [], "error": metrics[0]["error"]}
+    for described, decided in zip(metrics[1:], decisions[1:]):
+        assert list(decided) == _VERDICT_KEYS
+        assert [decided[key] for key in _VERDICT_KEYS[:2]] \
+            == [described[key] for key in _VERDICT_KEYS[:2]]
 
 
 def test_filter_without_metrics_names_the_analyze_to_run(golden_dirs, capsys):
@@ -1148,6 +1154,20 @@ def test_failed_report_leaves_its_output_directory_as_it_was(pipeline_dirs, tmp_
     assert not (tmp_path / "fresh").exists()
 
 
+def test_report_on_an_empty_per_sample_csv_names_it(pipeline_dirs, tmp_path, capsys):
+    _, _, model_dir = pipeline_dirs
+    eval_dir = tmp_path / "eval"
+    assert main(["eval", "--model", str(model_dir / dataio.MODEL_NAME),
+                 "--dataset", str(model_dir / dataio.HOLDOUT_NAME),
+                 "--out", str(eval_dir)]) == 0
+    per_sample = eval_dir / dataio.PER_SAMPLE_NAME
+    per_sample.write_text("")
+    assert main(["report", "--eval", str(eval_dir / dataio.EVAL_NAME), "--svg",
+                 "--out", str(tmp_path / "report")]) == 2
+    assert f"{per_sample}: empty" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
 def test_report_text_names_the_payload_bin_width():
     payload = {"n_samples": 1, "mae_m": 0.0, "pearson_r": None, "per_range": [],
                "histogram": {"bin_width_m": 0.25, "truth_counts": [1],
@@ -1204,16 +1224,55 @@ def _train_argv(corpus, out, *extra):
     return ["train", "--in", str(corpus), "--out", str(out), "--seed", "3", *extra]
 
 
-def test_train_refuses_decisions_without_features(pipeline_dirs, tmp_path):
+def _without_wavs(corpus, tmp_path):
+    """A copy of ``corpus`` with every artifact but the WAVs, which train does not read."""
+    copy = tmp_path / "corpus"
+    shutil.copytree(corpus, copy, ignore=shutil.ignore_patterns("*.wav"))
+    return copy
+
+
+@pytest.mark.parametrize("holdout", ["-0.5", "nan", "1", "1.5"])
+def test_train_refuses_a_holdout_outside_the_unit_interval(pipeline_dirs, tmp_path, capsys,
+                                                           holdout):
     corpus, _, _ = pipeline_dirs
-    rows = dataio.read_jsonl(corpus / dataio.DECISIONS_NAME)
-    for row in rows:
-        row.pop("feature_schema_version", None)
-        row.pop("features", None)
-    old_format = tmp_path / "decisions.jsonl"
-    dataio.write_jsonl(old_format, rows)
     out = tmp_path / "model"
-    assert main(_train_argv(corpus, out, "--decisions", str(old_format))) == 4
+    assert main(_train_argv(corpus, out, "--holdout", holdout)) == 2
+    assert "--holdout must be in [0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_refuses_metrics_rows_without_features(pipeline_dirs, tmp_path, capsys):
+    corpus = _without_wavs(pipeline_dirs[0], tmp_path)
+    rows = dataio.read_jsonl(corpus / dataio.METRICS_NAME)
+    for row in rows:
+        del row["feature_schema_version"], row["features"]
+    dataio.write_jsonl(corpus / dataio.METRICS_NAME, rows)
+    out = tmp_path / "model"
+    assert main(_train_argv(corpus, out, "--step-grid", "1", "--epoch-grid", "5")) == 4
+    assert "carries schema None" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [_reordered, _moved, lambda rows: rows[:-1],
+                                  lambda rows: rows + rows[:1]],
+                         ids=["reordered", "moved", "short", "long"])
+def test_train_refuses_metrics_of_another_corpus(pipeline_dirs, tmp_path, capsys, edit):
+    """train pairs each decision with analyze's row of the same RIR, checked as filter checks it."""
+    corpus = _without_wavs(pipeline_dirs[0], tmp_path)
+    rows = dataio.read_jsonl(corpus / dataio.METRICS_NAME)
+    dataio.write_jsonl(corpus / dataio.METRICS_NAME, edit(rows))
+    out = tmp_path / "model"
+    assert main(_train_argv(corpus, out, "--step-grid", "1", "--epoch-grid", "5")) == 4
+    assert f"rirdist analyze --in {corpus}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_without_metrics_names_the_analyze_to_run(pipeline_dirs, tmp_path, capsys):
+    corpus = _without_wavs(pipeline_dirs[0], tmp_path)
+    (corpus / dataio.METRICS_NAME).unlink()
+    out = tmp_path / "model"
+    assert main(_train_argv(corpus, out)) == 3
+    assert f"rirdist analyze --in {corpus} first" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1397,15 +1456,26 @@ def test_analyze_rows_evaluate_and_their_decay_grid_is_ignored(pipeline_dirs, tm
     assert outputs[0] == outputs[1]
 
 
-def test_eval_foreign_feature_rows_are_rejected(pipeline_dirs, tmp_path):
+@pytest.mark.parametrize("edit, named", [
+    (lambda row: row.update(feature_schema_version=0), "carries schema 0"),
+    (lambda row: row["features"].update(log_t60=None), "has log_t60 None, not a number"),
+    (lambda row: row["features"].update(drr_db="3.5"), "has drr_db '3.5', not a number"),
+    (lambda row: row["features"].update(bias=True), "has bias True, not a number"),
+    (lambda row: row.update(distance_m=True), "has distance_m True, not a number"),
+    (lambda row: row.update(distance_m="3.5"), "has distance_m '3.5', not a number"),
+], ids=["schema_version", "null_feature", "string_feature", "bool_feature", "bool_distance",
+        "string_distance"])
+def test_eval_foreign_feature_rows_are_rejected(pipeline_dirs, tmp_path, capsys, edit, named):
     _, _, model_dir = pipeline_dirs
     rows = dataio.read_jsonl(model_dir / dataio.HOLDOUT_NAME)
-    rows[0]["feature_schema_version"] = 0
+    edit(rows[1])
     broken = tmp_path / "broken_holdout.jsonl"
     dataio.write_jsonl(broken, rows)
     assert main(["eval", "--model", str(model_dir / dataio.MODEL_NAME),
                  "--dataset", str(broken),
                  "--out", str(tmp_path / "out")]) == 4
+    assert f"feature row {rows[1]['rir_id']!r} {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_refuses_an_analyze_error_row_naming_it(pipeline_dirs, tmp_path, capsys):
@@ -1423,6 +1493,32 @@ def test_eval_refuses_an_analyze_error_row_naming_it(pipeline_dirs, tmp_path, ca
     err = capsys.readouterr().err
     assert repr(failed) in err and "ZeroEnergyError: " in err and "schema" not in err
     assert not out.exists()
+
+
+def test_trusted_and_generated_models_score_one_trusted_holdout(pipeline_dirs, tmp_path):
+    """The paper's comparison with today's commands: a model trained on trusted
+    RIRs alone and one trained on generated RIRs, scored on the same held-out
+    trusted RIRs. Which model wins is not asserted."""
+    _, _, generated = pipeline_dirs
+    enroll, trusted = tmp_path / "enroll", tmp_path / "trusted"
+    assert main(["generate", "--out", str(enroll), "--rooms", "1-3", "--n", "10",
+                 "--seed", "1003"]) == 0
+    assert main(["analyze", "--in", str(enroll)]) == 0
+    assert main(["filter", "--in", str(enroll), "--enrollment", str(enroll)]) == 0
+    assert main(["train", "--in", str(enroll), "--out", str(trusted), "--seed", "7",
+                 "--holdout", "0.5"]) == 0
+    accepted = sum(row["accepted"]
+                   for row in dataio.read_jsonl(enroll / dataio.DECISIONS_NAME))
+    held = dataio.read_jsonl(trusted / dataio.HOLDOUT_NAME)
+    assert accepted - len(held) >= 5   # the trusted fit pool
+    scored = []
+    for model in (trusted, generated):
+        out = tmp_path / f"eval_{model.name}"
+        assert main(["eval", "--model", str(model / dataio.MODEL_NAME),
+                     "--dataset", str(trusted / dataio.HOLDOUT_NAME), "--out", str(out)]) == 0
+        lines = (out / dataio.PER_SAMPLE_NAME).read_text().splitlines()[1:]
+        scored.append([line.split(",")[0] for line in lines])
+    assert scored[0] == scored[1] == [row["rir_id"] for row in held]
 
 
 def test_train_room_subset(pipeline_dirs, tmp_path):
