@@ -8,7 +8,8 @@ the storage dtype of the samples. The per-RIR functions allocate as few
 full-length arrays as they can and reuse their own temporaries in place,
 never their inputs: a second of float64 audio is large enough that each
 fresh array costs page faults. The in-place forms evaluate the same
-expressions in the same order, so results are bit-equal.
+expressions in the same order, so results are bit-equal. No sum over a
+signal goes through BLAS, so none depends on its thread count.
 
 The decay curve is kept in linear units, and its levels in dB are
 computed only where they are read: the T60 fit reads its segment and
@@ -158,6 +159,10 @@ class EnergyDecayCurve:
         """The whole curve in dB (a new array each time)."""
         return self.db()
 
+    def energy_from(self, n: int) -> float:
+        """The energy from sample ``n`` on: 0 past the end of the curve."""
+        return float(self.energy[n]) if n < self.energy.size else 0.0
+
 
 @dataclass(frozen=True)
 class T60Estimate:
@@ -168,7 +173,6 @@ class T60Estimate:
 @dataclass(frozen=True)
 class DrrEstimate:
     drr_db: float
-    signal_energy: float         # the sum of squared samples the ratio splits
     at_ceiling: bool = False
 
 
@@ -274,7 +278,8 @@ def estimate_t60(edc: EnergyDecayCurve, sample_rate: int) -> T60Estimate:
     times = np.arange(first, stop) / float(sample_rate)
     centered = times - times.mean()
     levels = edc.db(slice(first, stop))
-    slope = float(centered @ (levels - levels.mean())) / float(centered @ centered)
+    levels -= levels.mean()
+    slope = float(np.einsum("i,i", centered, levels)) / float(np.einsum("i,i", centered, centered))
     if slope >= 0.0:
         raise InsufficientDecayError("decay segment is not decaying")
     return T60Estimate(t60_s=float(-60.0 / slope), fallback=fallback)
@@ -300,8 +305,8 @@ def geometric_distance(direct_index: int, sample_rate: int) -> float:
     return direct_index / float(sample_rate) * SPEED_OF_SOUND_M_S
 
 
-def compute_drr(rir: RIRecording, direct_index: int) -> DrrEstimate:
-    """Direct-to-reverberant energy ratio in dB.
+def compute_drr(edc: EnergyDecayCurve, direct_index: int, sample_rate: int) -> DrrEstimate:
+    """Direct-to-reverberant energy ratio in dB, read off the decay curve.
 
     The direct window is the closed interval from 0.5 ms before to
     2.5 ms after ``direct_index``, clamped to the signal bounds; all
@@ -309,27 +314,19 @@ def compute_drr(rir: RIRecording, direct_index: int) -> DrrEstimate:
     part yields the +100 dB ceiling with ``at_ceiling`` set instead of
     an error.
     """
-    samples = rir.samples
-    n = samples.size
+    n = edc.energy.size
     if not 0 <= direct_index < n:
         raise ValueError(f"direct_index {direct_index} outside [0, {n})")
-    pre = round(DRR_WINDOW_PRE_S * rir.sample_rate)
-    post = round(DRR_WINDOW_POST_S * rir.sample_rate)
-    lo = max(0, direct_index - pre)
-    hi = min(n, direct_index + post + 1)
-    window = samples[lo:hi]
-    direct_energy = float(window @ window)
-    total_energy = float(samples @ samples)
-    if total_energy <= 0.0:
-        raise ZeroEnergyError("all-zero impulse response has no energy ratio")
-    reverberant_energy = total_energy - direct_energy
-    if reverberant_energy <= 0.0:
-        return DrrEstimate(DRR_CEILING_DB, total_energy, at_ceiling=True)
-    floor = total_energy * 10.0 ** (DB_FLOOR / 10.0)
-    drr = 10.0 * (np.log10(max(direct_energy, floor)) - np.log10(reverberant_energy))
-    if drr >= DRR_CEILING_DB:
-        return DrrEstimate(DRR_CEILING_DB, total_energy, at_ceiling=True)
-    return DrrEstimate(float(drr), total_energy, at_ceiling=False)
+    # differences of a non-increasing curve's samples: neither can be negative
+    from_lo = float(edc.energy[max(0, direct_index - round(DRR_WINDOW_PRE_S * sample_rate))])
+    after = edc.energy_from(direct_index + round(DRR_WINDOW_POST_S * sample_rate) + 1)
+    direct_energy, reverberant_energy = from_lo - after, (edc.total_energy - from_lo) + after
+    if reverberant_energy > 0.0:
+        floor = edc.total_energy * _FLOOR_RATIO
+        drr = 10.0 * (np.log10(max(direct_energy, floor)) - np.log10(reverberant_energy))
+        if drr < DRR_CEILING_DB:
+            return DrrEstimate(float(drr))
+    return DrrEstimate(DRR_CEILING_DB, at_ceiling=True)
 
 
 def early_reflection_profile(rir: RIRecording, direct_index: int) -> EchoDensityProfile:
@@ -402,18 +399,16 @@ def analyze_rir(rir: RIRecording) -> AcousticMetrics:
     edc = schroeder_edc(rir)
     t60 = estimate_t60(edc, rir.sample_rate)
     direct_index = detect_direct_path(rir)
-    drr = compute_drr(rir, direct_index)
+    drr = compute_drr(edc, direct_index, rir.sample_rate)
     echo = early_reflection_profile(rir, direct_index)
 
     physical_energy = rir.norm_gain ** 2 * edc.total_energy
     total_energy_db = max(10.0 * np.log10(physical_energy), DB_FLOOR)
 
-    samples = rir.samples
-    split = direct_index + round(EARLY_LATE_SPLIT_S * rir.sample_rate)
-    early, late = samples[direct_index:split], samples[split:]
-    floor = drr.signal_energy * 1e-12
-    early_late_ratio_db = 10.0 * (math.log10(max(float(early @ early), floor)) -
-                                  math.log10(max(float(late @ late), floor)))
+    late = edc.energy_from(direct_index + round(EARLY_LATE_SPLIT_S * rir.sample_rate))
+    early = float(edc.energy[direct_index]) - late
+    floor = edc.total_energy * 1e-12
+    early_late_ratio_db = 10.0 * (math.log10(max(early, floor)) - math.log10(max(late, floor)))
 
     flags = set()
     if t60.fallback:

@@ -23,6 +23,7 @@ from .estimator import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, FeatureVector, ext
 from .synth import GeometryError, ShoeboxRoom, builtin_room, builtin_room_ids
 
 _ROOM_ID = re.compile(r"[A-Za-z0-9_.-]+")
+_MAX = float(np.finfo(np.float64).max)   # the largest finite float64
 
 
 def parse_rooms(selector: str) -> list[ShoeboxRoom]:
@@ -63,8 +64,8 @@ def parse_rooms(selector: str) -> list[ShoeboxRoom]:
     return rooms
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_real(value) -> bool:   # a JSON number a float64 holds: not a bool, NaN or an infinity
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= _MAX
 
 
 def _profile_room(entry: dict, selector: str) -> ShoeboxRoom:
@@ -76,9 +77,9 @@ def _profile_room(entry: dict, selector: str) -> ShoeboxRoom:
                          f"is an int or a non-empty string of [A-Za-z0-9_.-]")
     where = f"room-profile file {selector}, room {rid!r}"
     if not (isinstance(dims, list) and len(dims) == 3 and all(map(_is_real, dims))):
-        raise ValueError(f"{where}: dims must be three numbers, got {dims!r}")
+        raise ValueError(f"{where}: dims must be three finite numbers, got {dims!r}")
     if not _is_real(absorption):
-        raise ValueError(f"{where}: absorption must be a number, got {absorption!r}")
+        raise ValueError(f"{where}: absorption must be a finite number, got {absorption!r}")
     if type(seed) is not int or seed < 0:   # a bool is not an int here
         raise ValueError(f"{where}: seed must be a non-negative integer, got {seed!r}")
     try:
@@ -120,14 +121,14 @@ class Corpus:
         check_schema(self.manifest, f"manifest in {self.directory}")
 
     def rows(self) -> Iterator[dict]:
-        """Metadata rows, read one at a time; each row's positions must be three numbers."""
+        """Metadata rows, read one at a time; each row's positions must be three finite numbers."""
         path = self.directory / dataio.METADATA_NAME
         for row in iter_jsonl(path):
             for key in ("source_pos", "receiver_pos"):
                 pos = row.get(key)
                 if not (isinstance(pos, list) and len(pos) == 3 and all(map(_is_real, pos))):
                     raise SchemaMismatchError(f"{path}: row {row.get('rir_id')!r} has {key} "
-                                              f"{pos!r}, not three numbers")
+                                              f"{pos!r}, not three finite numbers")
             yield row
 
     def room_ids(self) -> list:
@@ -287,5 +288,6 @@ def parse_feature_row(row: dict) -> tuple[str, FeatureVector, float]:
             f"feature row {row.get('rir_id')!r} is malformed: {exc}") from exc
     for name, value in [*values.items(), ("distance_m", distance)]:
         if not _is_real(value):
-            raise SchemaMismatchError(f"feature row {rir_id!r} has {name} {value!r}, not a number")
+            raise SchemaMismatchError(
+                f"feature row {rir_id!r} has {name} {value!r}, not a finite number")
     return rir_id, FeatureVector(**values), float(distance)

@@ -44,6 +44,8 @@ class FilterCriteria:
     echo_max_rel_dev: float = 0.5         # relative deviation of the total echo count
 
     def __post_init__(self):
+        if not np.isfinite(list(vars(self).values())).all():
+            raise ValueError(f"every threshold must be a finite number, got {self}")
         if self.t60_rel_tolerance <= 0 or self.t60_hard_cutoff_s <= 0:
             raise ValueError("T60 tolerances must be positive")
         if not 0 <= self.min_distance_m < self.max_distance_m:

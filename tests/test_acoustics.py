@@ -17,6 +17,9 @@ from rirdist.acoustics import (
     DIRECT_PEAK_FRACTION,
     DRR_CEILING_DB,
     DRR_CEILING_FLAG,
+    DRR_WINDOW_POST_S,
+    DRR_WINDOW_PRE_S,
+    EARLY_LATE_SPLIT_S,
     ECHO_N_WINDOWS,
     ECHO_PEAK_FRACTION,
     ECHO_TRUNCATED_FLAG,
@@ -265,11 +268,15 @@ def test_shift_equivariance():
 
 # ---------------------------------------------------------------- compute_drr
 
+def _drr(rir, direct_index):
+    return compute_drr(schroeder_edc(rir), direct_index, rir.sample_rate)
+
+
 def test_drr_four_to_one_ratio():
     samples = np.zeros(SAMPLE_RATE)
     samples[100] = 1.0
     samples[300] = 0.5          # energy 0.25, outside the direct window
-    est = compute_drr(RIRecording(samples=samples), 100)
+    est = _drr(RIRecording(samples=samples), 100)
     assert est.drr_db == pytest.approx(10.0 * np.log10(4.0), abs=1e-9)
     assert not est.at_ceiling
 
@@ -278,12 +285,12 @@ def test_drr_equal_energies_zero_db():
     samples = np.zeros(SAMPLE_RATE)
     samples[50] = 1.0
     samples[200] = 1.0
-    est = compute_drr(RIRecording(samples=samples), 50)
+    est = _drr(RIRecording(samples=samples), 50)
     assert est.drr_db == pytest.approx(0.0, abs=1e-9)
 
 
 def test_drr_ceiling_when_no_reverberant_energy():
-    est = compute_drr(_impulse(100), 100)
+    est = _drr(_impulse(100), 100)
     assert est.drr_db == DRR_CEILING_DB
     assert est.at_ceiling
 
@@ -294,26 +301,26 @@ def test_drr_window_is_closed_interval():
         samples = np.zeros(SAMPLE_RATE)
         samples[100] = 1.0
         samples[inside] = 0.5
-        assert compute_drr(RIRecording(samples=samples), 100).at_ceiling
+        assert _drr(RIRecording(samples=samples), 100).at_ceiling
     for outside in (181, 83):
         samples = np.zeros(SAMPLE_RATE)
         samples[100] = 1.0
         samples[outside] = 0.5
-        est = compute_drr(RIRecording(samples=samples), 100)
+        est = _drr(RIRecording(samples=samples), 100)
         assert est.drr_db == pytest.approx(10.0 * np.log10(4.0), abs=1e-9)
 
 
 def test_drr_scale_invariant():
     rir = exp_envelope_rir(0.05, seed=8)
     idx = detect_direct_path(rir)
-    a = compute_drr(rir, idx).drr_db
-    b = compute_drr(RIRecording(samples=0.2 * rir.samples), idx).drr_db
+    a = _drr(rir, idx).drr_db
+    b = _drr(RIRecording(samples=0.2 * rir.samples), idx).drr_db
     assert b == pytest.approx(a, rel=1e-12)
 
 
 def test_drr_invalid_index_raises():
     with pytest.raises(ValueError):
-        compute_drr(_impulse(0, n=64), 64)
+        _drr(_impulse(0, n=64), 64)
 
 
 # --------------------------------------------------- early_reflection_profile
@@ -456,6 +463,37 @@ def test_total_energy_invariant_under_normalization(tau, seed, gain):
         analyze_rir(rir).total_energy_db, abs=1e-9)
 
 
+def _reference_energy_ratios(samples, direct_index, sample_rate):
+    """(DRR, early/late ratio) in dB from plain sums of squares over each window."""
+    power = samples ** 2
+    total = float(np.sum(power))
+    lo = max(0, direct_index - round(DRR_WINDOW_PRE_S * sample_rate))
+    direct = float(np.sum(power[lo:direct_index + round(DRR_WINDOW_POST_S * sample_rate) + 1]))
+    floor = total * 10.0 ** (DB_FLOOR / 10.0)
+    drr = 10.0 * np.log10(max(direct, floor) / (total - direct))
+    split = direct_index + round(EARLY_LATE_SPLIT_S * sample_rate)
+    early, late = float(np.sum(power[direct_index:split])), float(np.sum(power[split:]))
+    floor = total * 1e-12
+    return drr, 10.0 * np.log10(max(early, floor) / max(late, floor))
+
+
+@_PROPERTY
+@given(tau=_TAUS, seed=_SEEDS, gain=_GAINS, data=st.data())
+def test_energy_ratios_match_window_sums_of_squares(tau, seed, gain, data):
+    """The DRR and the early/late ratio, read off the decay curve, match the
+    ratios of the windows' sums of squares; the DRR also at indices whose
+    window is clamped at either end of the signal."""
+    rir = RIRecording(samples=gain * exp_envelope_rir(tau, seed=seed).samples)
+    metrics = analyze_rir(rir)
+    drr, early_late = _reference_energy_ratios(rir.samples, metrics.direct_index, SAMPLE_RATE)
+    assert metrics.drr_db == pytest.approx(drr, rel=1e-12)
+    assert metrics.early_late_ratio_db == pytest.approx(early_late, rel=1e-12)
+    edc, n = schroeder_edc(rir), rir.samples.size
+    for index in (0, 3, n - 1, data.draw(st.integers(0, n - 1))):
+        drr, _ = _reference_energy_ratios(rir.samples, index, SAMPLE_RATE)
+        assert compute_drr(edc, index, SAMPLE_RATE).drr_db == pytest.approx(drr, rel=1e-12)
+
+
 def _polyfit_t60(values, sample_rate, span):
     """Reference T60: np.polyfit over the same segment estimate_t60 selects."""
     segment = np.nonzero((values <= span[0]) & (values >= span[1]))[0]
@@ -521,7 +559,8 @@ def _reference_t60(edc, sample_rate):
     times = segment / float(sample_rate)
     centered = times - times.mean()
     levels = values[segment]
-    slope = float(centered @ (levels - levels.mean())) / float(centered @ centered)
+    slope = (float(np.einsum("i,i", centered, levels - levels.mean()))
+             / float(np.einsum("i,i", centered, centered)))
     if slope >= 0.0:
         raise InsufficientDecayError("decay segment is not decaying")
     return T60Estimate(t60_s=float(-60.0 / slope), fallback=fallback)

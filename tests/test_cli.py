@@ -675,20 +675,23 @@ def test_a_forked_pipeline_beside_openblas_threads_matches_one_process(tmp_path)
     """With OPENBLAS_NUM_THREADS unset, OpenBLAS starts a thread per core, and
     rirdist keeps its work in one process; forced to fork beside those
     threads, a small golden-shaped run still finishes, split over two or four
-    processes, and writes every byte the same run writes in one."""
+    processes, and writes every byte the same run writes in one. One process
+    also writes those bytes with OpenBLAS pinned to one thread or two."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     trees = {}
-    for processes in (1, 2, 4):
-        base = tmp_path / str(processes)
+    for processes, threads in ((1, None), (2, None), (4, None), (1, "1"), (1, "2")):
+        base = tmp_path / f"{processes}-{threads}"
+        run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
         subprocess.run([sys.executable, "-c", _PIPELINE, str(processes), str(base)],
-                       env=env, capture_output=True, timeout=120, check=True)
-        trees[processes] = {str(path.relative_to(base)): path.read_bytes()
-                            for path in sorted(base.rglob("*")) if path.is_file()}
-    assert len(trees[1]) == 36 + 16   # WAVs, and every other artifact of the seven stages
-    assert trees[2] == trees[1]
-    assert trees[4] == trees[1]
+                       env=run_env, capture_output=True, timeout=120, check=True)
+        trees[processes, threads] = {str(path.relative_to(base)): path.read_bytes()
+                                     for path in sorted(base.rglob("*")) if path.is_file()}
+    one = trees.pop((1, None))
+    assert len(one) == 36 + 16   # WAVs, and every other artifact of the seven stages
+    for run, tree in trees.items():
+        assert tree == one, run
 
 
 # ------------------------------------------------------------------- analyze
@@ -796,6 +799,7 @@ def test_analyze_respects_output_lock(tmp_path):
     ("analyze", "source_pos", None),
     ("analyze", "receiver_pos", [1.0, 2.0]),
     ("analyze", "source_pos", [1.0, "2", 3.0]),
+    ("analyze", "source_pos", [float("nan"), 2.0, 3.0]),
     ("filter", "source_pos", None),
     ("train", "receiver_pos", None),
 ])
@@ -1458,13 +1462,21 @@ def test_analyze_rows_evaluate_and_their_decay_grid_is_ignored(pipeline_dirs, tm
 
 @pytest.mark.parametrize("edit, named", [
     (lambda row: row.update(feature_schema_version=0), "carries schema 0"),
-    (lambda row: row["features"].update(log_t60=None), "has log_t60 None, not a number"),
-    (lambda row: row["features"].update(drr_db="3.5"), "has drr_db '3.5', not a number"),
-    (lambda row: row["features"].update(bias=True), "has bias True, not a number"),
-    (lambda row: row.update(distance_m=True), "has distance_m True, not a number"),
-    (lambda row: row.update(distance_m="3.5"), "has distance_m '3.5', not a number"),
-], ids=["schema_version", "null_feature", "string_feature", "bool_feature", "bool_distance",
-        "string_distance"])
+    (lambda row: row["features"].update(log_t60=None), "has log_t60 None, not a finite number"),
+    (lambda row: row["features"].update(drr_db="3.5"), "has drr_db '3.5', not a finite number"),
+    (lambda row: row["features"].update(bias=True), "has bias True, not a finite number"),
+    (lambda row: row["features"].update(drr_db=float("nan")),
+     "has drr_db nan, not a finite number"),
+    (lambda row: row["features"].update(log_t60=float("inf")),
+     "has log_t60 inf, not a finite number"),
+    (lambda row: row.update(distance_m=True), "has distance_m True, not a finite number"),
+    (lambda row: row.update(distance_m="3.5"), "has distance_m '3.5', not a finite number"),
+    (lambda row: row.update(distance_m=float("nan")), "has distance_m nan, not a finite number"),
+    (lambda row: row.update(distance_m=float("-inf")), "has distance_m -inf, not a finite number"),
+    (lambda row: row.update(distance_m=10**400), f"has distance_m {10**400}, not a finite number"),
+], ids=["schema_version", "null_feature", "string_feature", "bool_feature", "nan_feature",
+        "infinite_feature", "bool_distance", "string_distance", "nan_distance",
+        "infinite_distance", "distance_beyond_float"])
 def test_eval_foreign_feature_rows_are_rejected(pipeline_dirs, tmp_path, capsys, edit, named):
     _, _, model_dir = pipeline_dirs
     rows = dataio.read_jsonl(model_dir / dataio.HOLDOUT_NAME)

@@ -64,6 +64,12 @@ def test_criteria_defaults():
     {"min_distance_m": 7.1, "max_distance_m": 7.1},
     {"edc_max_rms_dev_db": 0.0},
     {"echo_max_rel_dev": -0.5},
+    {"echo_max_rel_dev": float("nan")},
+    {"t60_rel_tolerance": float("nan"), "edc_max_rms_dev_db": float("nan")},
+    {"t60_hard_cutoff_s": float("inf")},
+    {"max_distance_m": float("inf")},
+    {"edc_max_rms_dev_db": float("inf")},
+    {"min_distance_m": float("nan")},
 ])
 def test_criteria_validation(overrides):
     with pytest.raises(ValueError):
